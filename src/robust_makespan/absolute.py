@@ -4,68 +4,77 @@ For any fixed order, the worst feasible scenario achieves exactly the
 makespan of the hypothetical all-upper-bounds release vector: pushing the
 critical job to its upper bound and dropping everyone else to their lower
 bound is feasible and loses nothing. Minimizing that worst case reduces to
-sorting by latest possible release date.
+sorting by latest possible release date. Under U1 the upper bounds are the
+instance's trimmed ones (`Instance.trimmed_r_hi`), so every entry point here
+is exact on untrimmed instances too.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from .core import (
     Instance,
     Scenario,
     Schedule,
     _VECTOR_MIN,
+    _completions_and_critical,
     _completions_arrays,
     _stable_argsort,
-    evaluate,
 )
-from .uncertainty import candidate_scenario, extreme_scenarios
+from .uncertainty import _single_deviation
+
+
+def _worst_case(schedule: Schedule, instance: Instance) -> tuple[int, int]:
+    """(worst-case makespan, critical job id) of a schedule: its makespan when every
+    job is released at its trimmed upper bound, and the job that makespan rests on."""
+    idx = schedule.indices
+    if idx.size != instance.n:
+        raise ValueError(
+            f"dimension mismatch: instance has {instance.n} jobs, perm has {idx.size}"
+        )
+    comp, crit = _completions_and_critical(instance.trimmed_r_hi, instance.columns[0], idx)
+    return int(comp[-1]), int(idx[crit - 1]) + 1
 
 
 def robust_absolute_cost(schedule: Schedule, instance: Instance) -> int:
-    """Worst-case makespan of a schedule over the (trimmed) uncertainty set.
+    """Worst-case makespan of a schedule over the uncertainty set.
 
-    Expects a U1 instance to be trimmed already (see normalize_u1); equals
-    the makespan under the all-upper-bounds scenario.
+    Equals the makespan under the all-upper-bounds scenario, with U1 upper
+    bounds trimmed to r_lo + gamma.
     """
-    _, upper = extreme_scenarios(instance)
-    return evaluate(schedule, upper, instance).makespan
+    return _worst_case(schedule, instance)[0]
 
 
 def worst_case_scenario_absolute(schedule: Schedule, instance: Instance) -> Scenario:
     """A feasible scenario attaining the worst-case makespan of the schedule.
 
     Takes the critical job under the all-upper-bounds vector and raises only
-    that job; the result is feasible, attains robust_absolute_cost, and keeps
-    the same job critical. Expects a trimmed instance.
+    that job (to its trimmed upper bound); the result is feasible, attains
+    robust_absolute_cost, and keeps the same job critical.
     """
-    _, upper = extreme_scenarios(instance)
-    ev = evaluate(schedule, upper, instance)
-    jid = schedule.perm[ev.critical_position - 1]
-    return candidate_scenario(instance, jid)
+    _, jid = _worst_case(schedule, instance)
+    return Scenario(tuple(_single_deviation(instance, jid).tolist()))
 
 
 def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
     """Minimize the worst-case makespan: sort by latest possible release date.
 
-    Trims U1 intervals internally; ties are broken by ascending job id. The
+    Reads the trimmed U1 bounds; ties are broken by ascending job id. The
     returned cost is the worst-case makespan of the returned schedule, which
     no other schedule can beat.
     """
     n = instance.n
-    p, r_lo, r_hi = instance.columns
-    if instance.uncertainty.kind == "U1":
-        r_hi = np.minimum(r_hi, r_lo + instance.uncertainty.gamma)
+    p = instance.columns[0]
+    upper = instance.trimmed_r_hi
     if n < _VECTOR_MIN:
-        hi = r_hi.tolist()
+        hi = upper.tolist()
+        procs = p.tolist()
         perm = sorted(range(1, n + 1), key=lambda jid: (hi[jid - 1], jid))
         t = 0
         for jid in perm:
             r = hi[jid - 1]
             if r > t:
                 t = r
-            t += instance.jobs[jid - 1].p
+            t += procs[jid - 1]
         return Schedule(tuple(perm)), t
-    order = _stable_argsort(r_hi)
-    cost = int(_completions_arrays(r_hi[order], p[order])[-1])
-    return Schedule(tuple((order + 1).tolist())), cost
+    order = _stable_argsort(upper)
+    cost = int(_completions_arrays(upper[order], p[order])[-1])
+    return Schedule._from_order(order), cost

@@ -6,8 +6,12 @@ Instance files are JSON:
      "uncertainty": {"kind": "U2", "gamma": 2},
      "jobs": [{"id": 1, "p": 2, "r_lo": 0, "r_hi": 4}, ...]}
 
-Solution files are JSON with the criterion, the permutation, the objective,
-the attained worst-case scenario, and (for regret) the per-candidate values.
+Instance files are parsed once and their jobs checked in bulk; only a file
+that fails the bulk check is walked job by job to name the offending job.
+
+Solution files are single-line JSON objects with the criterion, the
+permutation, the objective, the attained worst-case scenario, and (for
+regret) the per-candidate values.
 Exit status: 0 success, 1 usage or parse error, 2 verification found a
 counterexample.
 """
@@ -23,8 +27,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .absolute import robust_absolute_cost, solve_robust_absolute, worst_case_scenario_absolute
-from .core import Instance, Job, Schedule, UncertaintyModel, evaluate, optimal_makespan
+from .absolute import (
+    _worst_case,
+    robust_absolute_cost,
+    solve_robust_absolute,
+    worst_case_scenario_absolute,
+)
+from .core import (
+    Instance,
+    Job,
+    Schedule,
+    UncertaintyModel,
+    _completions_arrays,
+    _erd_makespan_arrays,
+    _int64_array,
+    _stable_argsort,
+    evaluate,
+    optimal_makespan,
+)
 from .oracle import (
     brute_max_regret,
     brute_min_makespan,
@@ -36,10 +56,9 @@ from .regret import (
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
     max_regret,
-    regret_of,
     solve_robust_regret,
 )
-from .uncertainty import candidate_scenario, extreme_scenarios, is_feasible, normalize_u1
+from .uncertainty import _single_deviation, extreme_scenarios, is_feasible, normalize_u1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,7 +89,12 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def load_instance(path: str | Path) -> Instance:
-    """Parse an instance file, with positions or job ids in every complaint."""
+    """Parse an instance file, with positions or job ids in every complaint.
+
+    The jobs are read in bulk: one pass per field, then one vectorized check
+    in `Instance.from_arrays`. Only a file that fails it is walked job by
+    job, to name the first offending job.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -79,6 +103,8 @@ def load_instance(path: str | Path) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal too long to convert
+        raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be an object")
     version = _int_field(doc, "version", str(path))
@@ -92,6 +118,31 @@ def load_instance(path: str | Path) -> Instance:
     jobs_doc = _field(doc, "jobs", str(path))
     if not isinstance(jobs_doc, list) or not jobs_doc:
         raise CliError(f"{path}: 'jobs' must be a non-empty array")
+    try:
+        return _bulk_instance(jobs_doc, str(kind), gamma)
+    except (KeyError, TypeError, ValueError):
+        pass
+    return _checked_instance(path, jobs_doc, str(kind), gamma)
+
+
+def _bulk_instance(jobs_doc: list, kind: str, gamma: int) -> Instance:
+    """The instance of valid job objects in any id order; raises on anything else."""
+    ids = _int64_array([job["id"] for job in jobs_doc])
+    if ids is None:
+        raise ValueError("job ids must be integers")
+    columns = [[job[name] for job in jobs_doc] for name in ("p", "r_lo", "r_hi")]
+    expected = np.arange(1, ids.size + 1)
+    if not np.array_equal(ids, expected):
+        order = _stable_argsort(ids)
+        if not np.array_equal(ids[order], expected):
+            raise ValueError("job ids must be 1..n")
+        order = order.tolist()
+        columns = [[values[k] for k in order] for values in columns]
+    return Instance.from_arrays(*columns, UncertaintyModel(kind, gamma))
+
+
+def _checked_instance(path: str | Path, jobs_doc: list, kind: str, gamma: int) -> Instance:
+    """Build the instance job by job and raise CliError at the first problem found."""
     jobs = []
     for k, job_doc in enumerate(jobs_doc):
         where = f"{path}: jobs[{k}]"
@@ -116,7 +167,7 @@ def load_instance(path: str | Path) -> Instance:
             raise CliError(f"{path}: duplicate job id {job.id}")
         seen_ids.add(job.id)
     try:
-        return Instance(tuple(jobs), UncertaintyModel(str(kind), gamma))
+        return Instance(tuple(jobs), UncertaintyModel(kind, gamma))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -152,40 +203,39 @@ def dump_instance(instance: Instance) -> str:
 
 
 def solve_to_payload(criterion: str, instance: Instance) -> dict:
-    """Run the requested solver and package a self-consistent solution document."""
-    trimmed = normalize_u1(instance)
+    """Run the requested solver and package a self-consistent solution document.
+
+    The worst-case scenario raises one job (the critical one for absolute,
+    the worst candidate for regret) to its trimmed upper bound. Before
+    returning, the scenario is re-evaluated on the arrays and must attain
+    the objective.
+    """
+    p = instance.columns[0]
     if criterion == "absolute":
-        schedule, cost = solve_robust_absolute(instance)
-        scenario = worst_case_scenario_absolute(schedule, trimmed)
-        _, upper = extreme_scenarios(trimmed)
-        critical = evaluate(schedule, upper, trimmed).critical_position
-        attained = evaluate(schedule, scenario, trimmed).makespan
-        if attained != cost:
-            raise AssertionError("solution failed self-check: scenario does not attain the cost")
-        return {
-            "criterion": "absolute",
-            "permutation": list(schedule.perm),
-            "objective": cost,
-            "worst_case_scenario": {
-                "releases": list(scenario.releases),
-                "candidate_job": schedule.perm[critical - 1],
-            },
-        }
-    report = solve_robust_regret(instance)
-    scenario = candidate_scenario(trimmed, report.worst_job)
-    attained = regret_of(report.schedule, scenario, trimmed)
-    if attained != report.regret:
-        raise AssertionError("solution failed self-check: scenario does not attain the regret")
-    return {
-        "criterion": "regret",
-        "permutation": list(report.schedule.perm),
-        "objective": report.regret,
-        "worst_case_scenario": {
-            "releases": list(scenario.releases),
-            "candidate_job": report.worst_job,
-        },
-        "per_candidate": list(report.per_candidate),
+        schedule, objective = solve_robust_absolute(instance)
+        _, jid = _worst_case(schedule, instance)
+    else:
+        report = solve_robust_regret(instance)
+        schedule, objective, jid = report.schedule, report.regret, report.worst_job
+    releases = _single_deviation(instance, jid)
+    idx = schedule.indices
+    attained = int(_completions_arrays(releases[idx], p[idx])[-1])
+    if criterion == "regret":
+        attained -= _erd_makespan_arrays(releases, p)
+    if attained != objective:
+        raise AssertionError(
+            f"solution failed self-check: scenario attains {attained}, not the {criterion} "
+            f"objective {objective}"
+        )
+    payload = {
+        "criterion": criterion,
+        "permutation": list(schedule.perm),
+        "objective": objective,
+        "worst_case_scenario": {"releases": releases.tolist(), "candidate_job": jid},
     }
+    if criterion == "regret":
+        payload["per_candidate"] = list(report.per_candidate)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +245,7 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     payload = solve_to_payload(args.criterion, instance)
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
@@ -291,7 +341,7 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
         _, upper = extreme_scenarios(trimmed)
         crit = evaluate(schedule, upper, trimmed).critical_position
         jid = schedule.perm[crit - 1]
-        suffix = sum(trimmed.jobs[j - 1].p for j in schedule.perm[crit - 1 :])
+        suffix = int(trimmed.columns[0][schedule.indices[crit - 1 :]].sum())
         if (
             ev.makespan != cost
             or not is_feasible(scenario, trimmed)
@@ -370,10 +420,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         p = rng.integers(1, 100, size)
         r_lo = rng.integers(0, max(2 * size, 10), size)
         r_hi = r_lo + rng.integers(0, 100, size)
-        jobs = tuple(
-            Job(i + 1, int(p[i]), int(r_lo[i]), int(r_hi[i])) for i in range(size)
-        )
-        instance = Instance(jobs, UncertaintyModel("U2", max(1, size // 10)))
+        instance = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U2", max(1, size // 10)))
         t0 = time.perf_counter()
         solve_robust_absolute(instance)
         t1 = time.perf_counter()

@@ -1,12 +1,17 @@
 """Value types and deterministic makespan machinery for single-machine schedules.
 
-All time quantities (processing times, release dates, completions) are
-non-negative integers, so sort keys and oracle comparisons are exact.
-Instances whose worst-case completion time could leave the signed 64-bit
-range are rejected at construction.
+An `Instance` stores its jobs as three read-only int64 columns (p, r_lo,
+r_hi) indexed by job id - 1; build it from `Job` records or straight from
+the columns with `Instance.from_arrays`. Both constructors check every
+field in bulk: integers only (bools and floats are refused), positive
+processing times, 0 <= r_lo <= r_hi, and a worst-case completion time,
+sum(p) + max(r_hi) in Python integers, that fits the signed 64-bit range.
+So sort keys, completion times and oracle comparisons are exact. The
+per-job `jobs` tuple is derived only when something asks for it.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,7 +21,6 @@ MAX_TIME = 2**63 - 1
 
 # numpy kernels only pay off on long vectors; plain loops win below this
 _VECTOR_MIN = 2048
-
 
 @dataclass(frozen=True, slots=True)
 class Job:
@@ -46,44 +50,203 @@ class UncertaintyModel:
     def __post_init__(self) -> None:
         if self.kind not in ("U1", "U2"):
             raise ValueError(f"unknown uncertainty kind {self.kind!r}")
+        if not _is_integer(self.gamma):
+            raise ValueError(f"gamma must be an integer, got {self.gamma!r}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
         if self.kind == "U2" and self.gamma < 1:
             raise ValueError("U2 budgets count jobs and must be at least 1")
 
 
-@dataclass(frozen=True)
+def _is_integer(value) -> bool:
+    """Whether `value` is an integer: a Python or numpy int, and not a bool."""
+    return (isinstance(value, int) and not isinstance(value, bool)) or isinstance(
+        value, np.integer
+    )
+
+
+def _first_non_integer(values) -> int | None:
+    """Index of the first entry that is not an integer, or None; one type scan when all are."""
+    if set(map(type, values)) <= {int}:
+        return None
+    return next((k for k, v in enumerate(values) if not _is_integer(v)), None)
+
+
+def _int64_array(values) -> np.ndarray | None:
+    """Exact int64 array of a list or tuple of integers, or None if an entry is not one.
+
+    One C pass: array('q') reads every entry through __index__, so floats and
+    other non-integers fail, and so do values outside the 64-bit range.
+    Bools convert silently, but only to 0 or 1, so only those entries are
+    type-checked.
+    """
+    try:
+        arr = np.frombuffer(array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+    if any(isinstance(values[k], bool) for k in (arr <= 1).nonzero()[0].tolist()):
+        return None
+    return arr
+
+
+def _int64_column(values, describe) -> np.ndarray:
+    """`_int64_array` of `values`, or ValueError naming the first bad entry via describe(k)."""
+    arr = _int64_array(values)
+    if arr is None:
+        k = _first_non_integer(values)
+        if k is None:
+            raise ValueError("time data too large: a value exceeds the 64-bit range")
+        raise ValueError(f"{describe(k)} must be an integer, got {values[k]!r}")
+    return arr
+
+
+def _array_column(values, name: str) -> np.ndarray:
+    """A one-dimensional integer array or sequence of integers as a new int64 array."""
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        return _int64_column(values, lambda k: f"{name}[{k}]")
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
+    if values.dtype.kind == "u" and values.size and int(values.max()) > MAX_TIME:
+        raise ValueError("time data too large: a value exceeds the 64-bit range")
+    return values.astype(np.int64)
+
+
+def _trim_upper(r_lo: np.ndarray, r_hi: np.ndarray, gamma: int) -> np.ndarray:
+    """min(r_hi, r_lo + gamma) per job, exactly: the budget is clamped before numpy sees it."""
+    return r_lo + np.minimum(r_hi - r_lo, min(gamma, MAX_TIME))
+
+
 class Instance:
-    """A job list (in id order 1..n) plus the uncertainty model."""
+    """Jobs with ids 1..n, stored as int64 columns, plus the uncertainty model.
 
-    jobs: tuple[Job, ...]
-    uncertainty: UncertaintyModel
+    `columns` is (p, r_lo, r_hi), read-only int64 arrays indexed by job
+    id - 1. `Instance(jobs, uncertainty)` takes `Job` records listed in id
+    order; `Instance.from_arrays(p, r_lo, r_hi, uncertainty)` takes the
+    aligned columns. Instances are immutable, and equal when their columns
+    and models are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if not self.jobs:
+    __slots__ = ("columns", "uncertainty", "__dict__")
+
+    def __init__(self, jobs, uncertainty: UncertaintyModel) -> None:
+        jobs = tuple(jobs)
+        if not jobs:
             raise ValueError("instance needs at least one job")
-        for i, job in enumerate(self.jobs, start=1):
-            if job.id != i:
-                raise ValueError(
-                    f"jobs must be listed in id order 1..n; position {i} holds id {job.id}"
-                )
-        worst = sum(job.p for job in self.jobs) + max(job.r_hi for job in self.jobs)
-        if worst > MAX_TIME:
+        ids = [job.id for job in jobs]
+        fields = {
+            "p": [job.p for job in jobs],
+            "r_lo": [job.r_lo for job in jobs],
+            "r_hi": [job.r_hi for job in jobs],
+        }
+        columns = [
+            _int64_column(values, lambda k, name=name: f"job {jobs[k].id}: field {name!r}")
+            for name, values in fields.items()
+        ]
+        id_array = _int64_array(ids)
+        if id_array is None or not (id_array == np.arange(1, len(ids) + 1)).all():
+            k = _first_non_integer(ids)
+            if k is not None:
+                raise ValueError(f"job {ids[k]!r}: field 'id' must be an integer")
+            i = next(i for i, jid in enumerate(ids, start=1) if jid != i)
+            raise ValueError(
+                f"jobs must be listed in id order 1..n; position {i} holds id {ids[i - 1]}"
+            )
+        self._set_columns(*columns, uncertainty)
+        self.__dict__["jobs"] = jobs
+
+    @classmethod
+    def from_arrays(cls, p, r_lo, r_hi, uncertainty: UncertaintyModel) -> Instance:
+        """An instance from aligned one-dimensional integer columns; job j + 1 is row j.
+
+        Accepts integer arrays or sequences of integers and copies them.
+        """
+        columns = [
+            _array_column(values, name)
+            for values, name in ((p, "p"), (r_lo, "r_lo"), (r_hi, "r_hi"))
+        ]
+        sizes = {c.size for c in columns}
+        if len(sizes) != 1:
+            raise ValueError(f"columns differ in length: {[c.size for c in columns]}")
+        if not columns[0].size:
+            raise ValueError("instance needs at least one job")
+        instance = cls.__new__(cls)
+        instance._set_columns(*columns, uncertainty)
+        return instance
+
+    def _set_columns(self, p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray,
+                     uncertainty: UncertaintyModel) -> None:
+        """Check owned int64 columns in bulk, freeze them and store them."""
+        if p.min() <= 0:
+            j = int(np.flatnonzero(p <= 0)[0])
+            raise ValueError(f"job {j + 1}: processing time must be positive, got {p[j]}")
+        if r_lo.min() < 0 or (r_lo > r_hi).any():
+            j = int(np.flatnonzero((r_lo < 0) | (r_lo > r_hi))[0])
+            raise ValueError(f"job {j + 1}: release interval [{r_lo[j]}, {r_hi[j]}] is invalid")
+        # sum(p) in Python integers: an int64 sum could wrap; the cheap bound
+        # n * max(p) settles every instance that is far from the limit
+        latest = int(r_hi.max())
+        if int(p.max()) * p.size + latest > MAX_TIME and sum(p.tolist()) + latest > MAX_TIME:
             raise ValueError("time data too large: worst-case completion exceeds 64-bit range")
+        for column in (p, r_lo, r_hi):
+            column.setflags(write=False)
+        object.__setattr__(self, "columns", (p, r_lo, r_hi))
+        object.__setattr__(self, "uncertainty", uncertainty)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: Instance is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: Instance is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.jobs)
+        return self.columns[0].size
 
     @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p, r_lo, r_hi) as int64 arrays indexed by job id - 1."""
-        n = len(self.jobs)
-        p = np.fromiter((j.p for j in self.jobs), dtype=np.int64, count=n)
-        r_lo = np.fromiter((j.r_lo for j in self.jobs), dtype=np.int64, count=n)
-        r_hi = np.fromiter((j.r_hi for j in self.jobs), dtype=np.int64, count=n)
-        return p, r_lo, r_hi
+    def jobs(self) -> tuple[Job, ...]:
+        """The jobs as `Job` records in id order, built on first use."""
+        p, r_lo, r_hi = (c.tolist() for c in self.columns)
+        return tuple(Job(i, *row) for i, row in enumerate(zip(p, r_lo, r_hi), start=1))
+
+    @cached_property
+    def trimmed_r_hi(self) -> np.ndarray:
+        """Upper release bounds after U1 trimming, min(r_hi, r_lo + gamma); r_hi under U2.
+
+        No single job can deviate by more than the whole U1 budget, so every
+        worst-case quantity is computed from these bounds.
+        """
+        _, r_lo, r_hi = self.columns
+        if self.uncertainty.kind != "U1":
+            return r_hi
+        upper = _trim_upper(r_lo, r_hi, self.uncertainty.gamma)
+        upper.setflags(write=False)
+        return upper
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self.uncertainty == other.uncertainty and all(
+            np.array_equal(a, b) for a, b in zip(self.columns, other.columns)
+        )
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.uncertainty, *(c.tobytes() for c in self.columns)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Instance.from_arrays, (*self.columns, self.uncertainty)
+
+    def __repr__(self) -> str:
+        if self.n > 16:
+            return f"<Instance n={self.n} uncertainty={self.uncertainty!r}>"
+        p, r_lo, r_hi = (c.tolist() for c in self.columns)
+        return f"Instance.from_arrays({p}, {r_lo}, {r_hi}, {self.uncertainty!r})"
 
 
 @dataclass(frozen=True)
@@ -112,20 +275,42 @@ class Schedule:
     perm: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "perm", tuple(self.perm))
-        n = len(self.perm)
+        perm = tuple(self.perm)
+        object.__setattr__(self, "perm", perm)
+        k = _first_non_integer(perm)
+        if k is not None:
+            raise ValueError(f"perm entries must be integer job ids, got {perm[k]!r}")
+        n = len(perm)
         if n < _VECTOR_MIN:
-            if sorted(self.perm) != list(range(1, n + 1)):
+            if sorted(perm) != list(range(1, n + 1)):
                 raise ValueError("perm must be a permutation of job ids 1..n")
-        else:
-            arr = np.fromiter(self.perm, dtype=np.int64, count=n)
-            if arr.min() < 1 or arr.max() > n or (np.bincount(arr, minlength=n + 1)[1:] != 1).any():
-                raise ValueError("perm must be a permutation of job ids 1..n")
+            return
+        idx = _int64_array(perm)
+        if idx is None or idx.min() < 1 or idx.max() > n or (np.bincount(idx - 1) != 1).any():
+            raise ValueError("perm must be a permutation of job ids 1..n")
+        idx = idx - 1
+        idx.setflags(write=False)
+        self.__dict__["indices"] = idx
+
+    @classmethod
+    def _from_order(cls, order: np.ndarray) -> Schedule:
+        """The schedule of a zero-based int64 order that is known to be a permutation.
+
+        For solvers: skips the checks of the public constructor and keeps
+        `order` (frozen) as `indices`.
+        """
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "perm", tuple((order + 1).tolist()))
+        order.setflags(write=False)
+        schedule.__dict__["indices"] = order
+        return schedule
 
     @cached_property
     def indices(self) -> np.ndarray:
         """Zero-based job indices in processing order."""
-        return np.fromiter(self.perm, dtype=np.int64, count=len(self.perm)) - 1
+        idx = np.fromiter(self.perm, dtype=np.int64, count=len(self.perm)) - 1
+        idx.setflags(write=False)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -152,6 +337,17 @@ def _completions_arrays(releases: np.ndarray, p: np.ndarray) -> np.ndarray:
     return prefix + np.maximum.accumulate(releases - (prefix - p))
 
 
+def _completions_and_critical(
+    releases: np.ndarray, p: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Completions of the order `idx` (zero-based) from columns indexed by job, and the
+    largest 1-based position whose job completes at its release plus processing time."""
+    rel = releases[idx]
+    ps = p[idx]
+    comp = _completions_arrays(rel, ps)
+    return comp, int(np.flatnonzero(comp == rel + ps)[-1]) + 1
+
+
 def evaluate(schedule: Schedule, scenario: Scenario, instance: Instance) -> ScheduleEvaluation:
     """Run the completion-time recursion for one order under one scenario."""
     n = instance.n
@@ -162,28 +358,24 @@ def evaluate(schedule: Schedule, scenario: Scenario, instance: Instance) -> Sche
         )
     if n < _VECTOR_MIN:
         rel = scenario.releases
-        jobs = instance.jobs
+        p = instance.columns[0].tolist()
         completions = []
         t = 0
         for jid in schedule.perm:
             r = rel[jid - 1]
             if r > t:
                 t = r
-            t += jobs[jid - 1].p
+            t += p[jid - 1]
             completions.append(t)
         crit = n
         while crit > 1:
             jid = schedule.perm[crit - 1]
-            if completions[crit - 1] == rel[jid - 1] + jobs[jid - 1].p:
+            if completions[crit - 1] == rel[jid - 1] + p[jid - 1]:
                 break
             crit -= 1
         return ScheduleEvaluation(tuple(completions), completions[-1], crit)
 
-    idx = schedule.indices
-    rel = scenario.array[idx]
-    p = instance.columns[0][idx]
-    comp = _completions_arrays(rel, p)
-    crit = int(np.nonzero(comp == rel + p)[0][-1]) + 1
+    comp, crit = _completions_and_critical(scenario.array, instance.columns[0], schedule.indices)
     return ScheduleEvaluation(tuple(comp.tolist()), int(comp[-1]), crit)
 
 
@@ -199,11 +391,11 @@ def find_critical_job(
     the makespan. Position 1 always qualifies.
     """
     rel = scenario.releases
-    jobs = instance.jobs
+    p = instance.columns[0].tolist()
     completions = evaluation.completions
     for i in range(len(completions), 1, -1):
         jid = schedule.perm[i - 1]
-        if completions[i - 1] == rel[jid - 1] + jobs[jid - 1].p:
+        if completions[i - 1] == rel[jid - 1] + p[jid - 1]:
             return i
     return 1
 
@@ -217,8 +409,7 @@ def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
         rel = scenario.releases
         perm = sorted(range(1, n + 1), key=lambda jid: (rel[jid - 1], jid))
         return Schedule(tuple(perm))
-    order = _stable_argsort(scenario.array)
-    return Schedule(tuple((order + 1).tolist()))
+    return Schedule._from_order(_stable_argsort(scenario.array))
 
 
 def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
@@ -237,12 +428,12 @@ def optimal_makespan(scenario: Scenario, instance: Instance) -> int:
         raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
     if n < _VECTOR_MIN:
         rel = scenario.releases
-        jobs = instance.jobs
+        p = instance.columns[0].tolist()
         t = 0
         for i in sorted(range(n), key=lambda i: (rel[i], i)):
             r = rel[i]
             if r > t:
                 t = r
-            t += jobs[i].p
+            t += p[i]
         return t
     return _erd_makespan_arrays(scenario.array, instance.columns[0])

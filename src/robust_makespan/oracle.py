@@ -33,7 +33,7 @@ def brute_min_makespan(scenario: Scenario, instance: Instance) -> int:
     if len(scenario.releases) != n:
         raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
     rel = scenario.releases
-    pairs = tuple((rel[i], instance.jobs[i].p) for i in range(n))
+    pairs = tuple(zip(rel, instance.columns[0].tolist()))
     best = None
     for perm in permutations(pairs):
         t = 0
@@ -60,8 +60,9 @@ def enumerate_feasible_scenarios(instance: Instance) -> list[Scenario]:
     n = instance.n
     _require_small(n, _MAX_GRID_N)
     model = instance.uncertainty
-    lows = tuple(job.r_lo for job in instance.jobs)
-    highs = tuple(job.r_hi for job in instance.jobs)
+    _, r_lo, r_hi = instance.columns
+    lows = tuple(r_lo.tolist())
+    highs = tuple(r_hi.tolist())
     seen: set[tuple[int, ...]] = set()
 
     if model.kind == "U2":
@@ -117,7 +118,7 @@ def brute_min_worst_cost(instance: Instance) -> int:
     n = instance.n
     _require_small(n, _MAX_GRID_N)
     grid = [s.releases for s in enumerate_feasible_scenarios(instance)]
-    procs = tuple(job.p for job in instance.jobs)
+    procs = tuple(instance.columns[0].tolist())
     best = None
     for perm in permutations(range(n)):
         worst = 0
@@ -149,7 +150,7 @@ def brute_min_max_regret(instance: Instance) -> int:
     grid = [
         (s.releases, brute_min_makespan(s, instance)) for s in scenarios
     ]
-    procs = tuple(job.p for job in instance.jobs)
+    procs = tuple(instance.columns[0].tolist())
     best = None
     for perm in permutations(range(n)):
         worst = 0

@@ -157,14 +157,8 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -
     """
     n = p.size
     order, rs = _release_order(r_lo)
-    if n >= _KERNEL_MIN:
-        # one 16-byte-row gather instead of two independent random gathers
-        paired = np.column_stack((p, r_hi))[order]
-        ps = np.ascontiguousarray(paired[:, 0])
-        rh = np.ascontiguousarray(paired[:, 1])
-    else:
-        ps = p[order]
-        rh = r_hi[order]
+    ps = p[order]
+    rh = r_hi[order]
     if _accel.HAVE_KERNELS and n >= _KERNEL_MIN:
         comp, slack, idle_after = _accel.schedule_profile(rs, ps)
         flat, offsets = IntervalMinTable(slack).flattened()
@@ -186,11 +180,12 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -
 def all_optimal_makespans_fast(instance: Instance) -> np.ndarray:
     """Per-scenario optima for all n single-deviation scenarios in O(n log n).
 
-    Returns an int64 array indexed by job id - 1. Expects a U1 instance to be
-    trimmed already. Must agree exactly with all_optimal_makespans_naive.
+    Returns an int64 array indexed by job id - 1. Raised jobs sit at their
+    trimmed upper bounds (`Instance.trimmed_r_hi`). Must agree exactly with
+    all_optimal_makespans_naive.
     """
-    p, r_lo, r_hi = instance.columns
-    return _all_optima_fast_arrays(p, r_lo, r_hi)
+    p, r_lo, _ = instance.columns
+    return _all_optima_fast_arrays(p, r_lo, instance.trimmed_r_hi)
 
 
 def _naive_chunk(
@@ -241,13 +236,15 @@ def _naive_chunk(
 def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) -> np.ndarray:
     """Reference per-scenario optima: sort and evaluate each scenario on its own.
 
-    Returns an int64 array indexed by job id - 1. Expects a U1 instance to be
-    trimmed already. With `workers` set, the independent candidates are split
-    into contiguous chunks evaluated in separate processes and merged in
-    order; results are identical to the serial run.
+    Returns an int64 array indexed by job id - 1. Raised jobs sit at their
+    trimmed upper bounds (`Instance.trimmed_r_hi`). With `workers` set, the
+    independent candidates are split into contiguous chunks evaluated in
+    separate processes and merged in order; results are identical to the
+    serial run.
     """
     n = instance.n
-    p, r_lo, r_hi = instance.columns
+    p, r_lo, _ = instance.columns
+    r_hi = instance.trimmed_r_hi
     if n <= _NAIVE_SMALL:
         lows = r_lo.tolist()
         highs = r_hi.tolist()
@@ -325,10 +322,11 @@ def _regret_report(
 def max_regret(schedule: Schedule, instance: Instance) -> RegretReport:
     """Worst regret of a schedule over all single-deviation scenarios.
 
-    Expects a U1 instance to be trimmed already; by the candidate-set
+    Raised jobs sit at their trimmed upper bounds; by the candidate-set
     argument this equals the worst regret over the whole uncertainty set.
     """
-    p, r_lo, r_hi = instance.columns
+    p, r_lo, _ = instance.columns
+    r_hi = instance.trimmed_r_hi
     if len(schedule.perm) != instance.n:
         raise ValueError(
             f"dimension mismatch: instance has {instance.n} jobs, perm has {len(schedule.perm)}"
@@ -339,15 +337,12 @@ def max_regret(schedule: Schedule, instance: Instance) -> RegretReport:
 def solve_robust_regret(instance: Instance) -> RegretReport:
     """Minimize the worst regret: sort by latest release minus candidate optimum.
 
-    Trims U1 intervals internally. Sort keys may be negative; ties break by
+    Reads the trimmed U1 bounds. Sort keys may be negative; ties break by
     ascending job id. The returned report's regret is minimal over all
     schedules.
     """
-    p, r_lo, r_hi = instance.columns
-    if instance.uncertainty.kind == "U1":
-        r_hi = np.minimum(r_hi, r_lo + instance.uncertainty.gamma)
+    p, r_lo, _ = instance.columns
+    r_hi = instance.trimmed_r_hi
     optima_by_id = _all_optima_fast_arrays(p, r_lo, r_hi)
-    keys = r_hi - optima_by_id
-    order = _stable_argsort(keys)
-    schedule = Schedule(tuple((order + 1).tolist()))
-    return _regret_report(schedule, p, r_lo, r_hi, optima_by_id)
+    order = _stable_argsort(r_hi - optima_by_id)
+    return _regret_report(Schedule._from_order(order), p, r_lo, r_hi, optima_by_id)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Job, Scenario, _VECTOR_MIN
+from .core import Instance, Scenario, _VECTOR_MIN
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,13 @@ def is_feasible(scenario: Scenario, instance: Instance) -> bool:
     if len(scenario.releases) != n:
         raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
     model = instance.uncertainty
+    r_lo = instance.columns[1]
     if n < _VECTOR_MIN:
         rel = scenario.releases
-        jobs = instance.jobs
+        lows = r_lo.tolist()
         if model.kind == "U1":
-            return sum(rel[i] - jobs[i].r_lo for i in range(n)) <= model.gamma
-        return sum(1 for i in range(n) if rel[i] != jobs[i].r_lo) <= model.gamma
-    r_lo = instance.columns[1]
+            return sum(rel[i] - lows[i] for i in range(n)) <= model.gamma
+        return sum(1 for i in range(n) if rel[i] != lows[i]) <= model.gamma
     dev = scenario.array - r_lo
     if model.kind == "U1":
         return int(dev.sum()) <= model.gamma
@@ -46,28 +46,36 @@ def is_feasible(scenario: Scenario, instance: Instance) -> bool:
 def normalize_u1(instance: Instance) -> Instance:
     """Trim U1 intervals so no single job can exceed the budget on its own.
 
-    Replaces each r_hi by min(r_hi, r_lo + gamma); the set of feasible
-    scenarios is unchanged because any release beyond r_lo + gamma would
-    already blow the summed budget. U2 instances are returned as-is.
+    Replaces each r_hi by min(r_hi, r_lo + gamma) (the instance's
+    `trimmed_r_hi`); the set of feasible scenarios is unchanged because any
+    release beyond r_lo + gamma would already blow the summed budget. U2
+    instances, and U1 instances with nothing to trim, are returned as-is.
     """
     if instance.uncertainty.kind != "U1":
         return instance
-    gamma = instance.uncertainty.gamma
-    if all(job.r_hi <= job.r_lo + gamma for job in instance.jobs):
+    p, r_lo, r_hi = instance.columns
+    upper = instance.trimmed_r_hi
+    if np.array_equal(upper, r_hi):
         return instance
-    jobs = tuple(
-        Job(job.id, job.p, job.r_lo, min(job.r_hi, job.r_lo + gamma)) for job in instance.jobs
-    )
-    return Instance(jobs, instance.uncertainty)
+    return Instance.from_arrays(p, r_lo, upper, instance.uncertainty)
 
 
 def candidate_scenario(instance: Instance, jid: int) -> Scenario:
     """The scenario with job `jid` at its upper bound and every other job at its lower bound."""
     if not 1 <= jid <= instance.n:
         raise ValueError(f"no job with id {jid}")
-    releases = [job.r_lo for job in instance.jobs]
-    releases[jid - 1] = instance.jobs[jid - 1].r_hi
+    _, r_lo, r_hi = instance.columns
+    releases = r_lo.tolist()
+    releases[jid - 1] = int(r_hi[jid - 1])
     return Scenario(tuple(releases))
+
+
+def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
+    """Release vector with job `jid` at its trimmed upper bound and every other
+    job at its lower bound: the U1-feasible candidate the solvers reason about."""
+    releases = instance.columns[1].copy()
+    releases[jid - 1] = instance.trimmed_r_hi[jid - 1]
+    return releases
 
 
 def candidate_scenarios(instance: Instance) -> CandidateScenarioSet:
@@ -76,21 +84,21 @@ def candidate_scenarios(instance: Instance) -> CandidateScenarioSet:
     Materializes n vectors of length n; meant for small and mid-size
     instances (the solvers never build this set explicitly).
     """
-    lows = tuple(job.r_lo for job in instance.jobs)
+    _, r_lo, r_hi = instance.columns
+    lows = r_lo.tolist()
     scenarios = []
-    for i, job in enumerate(instance.jobs):
+    for i, high in enumerate(r_hi.tolist()):
         releases = list(lows)
-        releases[i] = job.r_hi
+        releases[i] = high
         scenarios.append(Scenario(tuple(releases)))
     return CandidateScenarioSet(tuple(scenarios))
 
 
 def extreme_scenarios(instance: Instance) -> tuple[Scenario, Scenario]:
-    """(all lower bounds, all upper bounds).
+    """(all lower bounds, all upper bounds), from the intervals as given (untrimmed).
 
     The all-upper-bounds vector may violate the deviation budget; it is still
     a valid input to the evaluator and drives the worst-case analysis.
     """
-    lo = Scenario(tuple(job.r_lo for job in instance.jobs))
-    hi = Scenario(tuple(job.r_hi for job in instance.jobs))
-    return lo, hi
+    _, r_lo, r_hi = instance.columns
+    return Scenario(tuple(r_lo.tolist())), Scenario(tuple(r_hi.tolist()))

@@ -1,4 +1,5 @@
 """Instance/solution files and the four subcommands."""
+import dataclasses
 import json
 
 import pytest
@@ -6,10 +7,16 @@ import pytest
 from robust_makespan import (
     Scenario,
     Schedule,
+    candidate_scenario,
     evaluate,
+    extreme_scenarios,
     normalize_u1,
     regret_of,
+    solve_robust_absolute,
+    solve_robust_regret,
+    worst_case_scenario_absolute,
 )
+from robust_makespan.core import MAX_TIME
 from robust_makespan import cli
 from robust_makespan.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -91,6 +98,74 @@ def test_parse_rejects_non_integer_fields(tmp_path):
         load_instance(write(tmp_path, doc))
 
 
+def test_parse_rejects_bool_fields(tmp_path):
+    for field in ("id", "p", "r_lo", "r_hi"):
+        doc = json.loads(json.dumps(TWO_JOB))
+        doc["jobs"][1][field] = True
+        with pytest.raises(cli.CliError, match=rf"jobs\[1\]: field '{field}' must be an integer"):
+            load_instance(write(tmp_path, doc))
+
+
+def test_parse_missing_field_names_its_job(tmp_path):
+    doc = json.loads(json.dumps(TWO_JOB))
+    del doc["jobs"][1]["r_hi"]
+    with pytest.raises(cli.CliError, match=r"jobs\[1\]: missing field 'r_hi'"):
+        load_instance(write(tmp_path, doc))
+    doc["jobs"][1] = [2, 3, 0, 0]
+    with pytest.raises(cli.CliError, match=r"jobs\[1\]: must be an object"):
+        load_instance(write(tmp_path, doc))
+
+
+def test_parse_id_gap_names_position(tmp_path):
+    doc = json.loads(json.dumps(TWO_JOB))
+    doc["jobs"][1]["id"] = 3
+    with pytest.raises(cli.CliError, match="position 2 holds id 3"):
+        load_instance(write(tmp_path, doc))
+
+
+def test_parse_out_of_range_integers_are_cli_errors(tmp_path, capsys):
+    for field, value in (("p", 2**70), ("r_hi", 2**64), ("id", 2**63)):
+        doc = json.loads(json.dumps(TWO_JOB))
+        doc["jobs"][0][field] = value
+        path = write(tmp_path, doc)
+        with pytest.raises(cli.CliError):
+            load_instance(path)
+        assert main(["solve", "--criterion", "absolute", "--input", path]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_parse_checks_worst_case_bound_in_python_integers(tmp_path):
+    # 4 * 2**62 wraps to 0 as an int64 sum
+    doc = {"version": 1, "uncertainty": {"kind": "U2", "gamma": 1},
+           "jobs": [{"id": i, "p": 2**62, "r_lo": 0, "r_hi": 0} for i in range(1, 5)]}
+    with pytest.raises(cli.CliError, match="64-bit"):
+        load_instance(write(tmp_path, doc))
+    # exactly at the limit is accepted, one past it is not
+    doc["jobs"] = [{"id": 1, "p": 2**62, "r_lo": 0, "r_hi": 1},
+                   {"id": 2, "p": 2**62 - 2, "r_lo": 0, "r_hi": 0}]
+    assert load_instance(write(tmp_path, doc)).n == 2
+    doc["jobs"][0]["r_hi"] = 2
+    with pytest.raises(cli.CliError, match="64-bit"):
+        load_instance(write(tmp_path, doc))
+
+
+def test_release_near_int64_limit_round_trips_and_solves(tmp_path):
+    inst = make_instance([(1, 0, MAX_TIME - 2), (1, 5, 5)], kind="U1", gamma=2**63)
+    path = tmp_path / "edge.json"
+    path.write_text(dump_instance(inst))
+    loaded = load_instance(path)
+    assert loaded == inst
+    assert loaded.columns[2].tolist() == [MAX_TIME - 2, 5]
+    assert dump_instance(loaded) == path.read_text()
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--criterion", "absolute", "--input", str(path),
+                 "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["objective"] == MAX_TIME - 1
+    assert main(["solve", "--criterion", "regret", "--input", str(path),
+                 "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["objective"] == solve_robust_regret(inst).regret
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -138,6 +213,67 @@ def test_solution_reevaluates_to_objective(tmp_path):
             assert evaluate(sched, scenario, instance).makespan == sol["objective"]
         else:
             assert regret_of(sched, scenario, instance) == sol["objective"]
+
+
+def test_solution_files_match_library_payload(tmp_path):
+    # above the small-n cutoff, with U1 intervals that trimming shortens
+    path = str(tmp_path / "big.json")
+    assert main(["generate", "--n", "3000", "--seed", "4", "--model", "U1", "--gamma", "30",
+                 "--r-range", "0", "6000", "--width-range", "0", "80", "--output", path]) == EXIT_OK
+    inst = load_instance(path)
+    trimmed = normalize_u1(inst)
+    assert trimmed != inst
+    report = solve_robust_regret(inst)
+    sched, cost = solve_robust_absolute(inst)
+    _, upper = extreme_scenarios(trimmed)
+    crit = evaluate(sched, upper, trimmed).critical_position
+    expected = {
+        "regret": {
+            "criterion": "regret",
+            "permutation": list(report.schedule.perm),
+            "objective": report.regret,
+            "worst_case_scenario": {
+                "releases": list(candidate_scenario(trimmed, report.worst_job).releases),
+                "candidate_job": report.worst_job,
+            },
+            "per_candidate": list(report.per_candidate),
+        },
+        "absolute": {
+            "criterion": "absolute",
+            "permutation": list(sched.perm),
+            "objective": cost,
+            "worst_case_scenario": {
+                "releases": list(worst_case_scenario_absolute(sched, inst).releases),
+                "candidate_job": sched.perm[crit - 1],
+            },
+        },
+    }
+    for criterion, want in expected.items():
+        out = tmp_path / f"{criterion}.json"
+        assert main(["solve", "--criterion", criterion, "--input", path,
+                     "--output", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")  # one line
+        assert json.loads(text) == want
+
+
+def test_payload_self_check_rejects_wrong_objective(monkeypatch):
+    inst = make_instance([(2, 0, 4), (3, 0, 0)])
+    solve_absolute, solve_regret = cli.solve_robust_absolute, cli.solve_robust_regret
+
+    def off_by_one_absolute(instance):
+        schedule, cost = solve_absolute(instance)
+        return schedule, cost + 1
+
+    def off_by_one_regret(instance):
+        report = solve_regret(instance)
+        return dataclasses.replace(report, regret=report.regret + 1)
+
+    monkeypatch.setattr(cli, "solve_robust_absolute", off_by_one_absolute)
+    monkeypatch.setattr(cli, "solve_robust_regret", off_by_one_regret)
+    for criterion in ("absolute", "regret"):
+        with pytest.raises(AssertionError, match="self-check"):
+            cli.solve_to_payload(criterion, inst)
 
 
 def test_solve_parse_failure_exits_one(tmp_path, capsys):

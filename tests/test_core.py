@@ -1,7 +1,9 @@
 """Core types and the completion-time machinery."""
+import pickle
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,17 @@ from robust_makespan import (
     UncertaintyModel,
     erd_schedule,
     evaluate,
+    candidate_scenario,
+    extreme_scenarios,
     find_critical_job,
+    is_feasible,
+    max_regret,
+    normalize_u1,
     optimal_makespan,
+    robust_absolute_cost,
+    solve_robust_absolute,
+    solve_robust_regret,
+    worst_case_scenario_absolute,
 )
 from robust_makespan.core import MAX_TIME
 
@@ -269,3 +280,133 @@ def test_single_release_bump_shifts_makespan_by_at_most_that_much(data):
     if sc.releases[jid - 1] + suffix == before.makespan:
         assert after.makespan == before.makespan + eps
     assert optimal_makespan(bumped, inst) <= optimal_makespan(sc, inst) + eps
+
+
+# ---------------------------------------------------------------------------
+# columnar instances
+
+
+def test_from_arrays_equals_job_constructor():
+    jobs = (Job(1, 2, 0, 4), Job(2, 3, 1, 5), Job(3, 1, 2, 2))
+    model = UncertaintyModel("U1", 3)
+    inst = Instance(jobs, model)
+    for p, r_lo, r_hi in (
+        ([2, 3, 1], [0, 1, 2], [4, 5, 2]),
+        (np.array([2, 3, 1]), np.array([0, 1, 2], dtype=np.int32),
+         np.array([4, 5, 2], dtype=np.uint8)),
+    ):
+        built = Instance.from_arrays(p, r_lo, r_hi, model)
+        assert built == inst
+        assert hash(built) == hash(inst)
+        assert "jobs" not in built.__dict__  # derived only on request
+        assert built.jobs == jobs
+    assert Instance.from_arrays([2, 3, 1], [0, 1, 2], [4, 5, 2], UncertaintyModel("U2", 3)) != inst
+    assert [c.tolist() for c in inst.columns] == [[2, 3, 1], [0, 1, 2], [4, 5, 2]]
+    assert all(c.dtype == np.int64 for c in inst.columns)
+
+
+def test_from_arrays_copies_and_freezes_columns():
+    p = np.array([2, 3])
+    inst = Instance.from_arrays(p, [0, 0], [1, 1], UncertaintyModel("U2", 1))
+    p[0] = 99
+    assert inst.columns[0].tolist() == [2, 3]
+    with pytest.raises(ValueError):
+        inst.columns[0][0] = 5
+    with pytest.raises(AttributeError):
+        inst.uncertainty = UncertaintyModel("U2", 2)
+    assert pickle.loads(pickle.dumps(inst)) == inst
+
+
+def test_from_arrays_rejects_bad_columns():
+    model = UncertaintyModel("U2", 1)
+    with pytest.raises(ValueError, match="integers"):
+        Instance.from_arrays(np.array([1.0, 2.0]), [0, 0], [0, 0], model)
+    with pytest.raises(ValueError, match=r"p\[1\] must be an integer"):
+        Instance.from_arrays([1, 2.5], [0, 0], [0, 0], model)
+    with pytest.raises(ValueError, match=r"r_lo\[0\] must be an integer"):
+        Instance.from_arrays([1, 2], [True, 0], [1, 0], model)
+    with pytest.raises(ValueError, match="integers"):
+        Instance.from_arrays([1, 2], np.array([False, False]), [0, 0], model)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Instance.from_arrays(np.ones((2, 2), dtype=np.int64), np.zeros(2, np.int64),
+                             np.zeros(2, np.int64), model)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Instance.from_arrays([[1, 2], [3, 4]], [0, 0], [0, 0], model)
+    with pytest.raises(ValueError, match="length"):
+        Instance.from_arrays([1, 2, 3], [0, 0], [0, 0], model)
+    with pytest.raises(ValueError, match="at least one job"):
+        Instance.from_arrays([], [], [], model)
+    with pytest.raises(ValueError, match="job 2: processing time"):
+        Instance.from_arrays([1, 0], [0, 0], [0, 0], model)
+    with pytest.raises(ValueError, match=r"job 1: release interval \[3, 2\]"):
+        Instance.from_arrays([1, 1], [3, 0], [2, 0], model)
+    with pytest.raises(ValueError, match="64-bit"):
+        Instance.from_arrays([1], [0], [2**63], model)
+    with pytest.raises(ValueError, match="64-bit"):
+        Instance.from_arrays([1], [0], np.array([2**63], dtype=np.uint64), model)
+
+
+def test_instance_rejects_non_integer_job_fields():
+    model = UncertaintyModel("U2", 1)
+    with pytest.raises(ValueError, match="job 1: field 'p' must be an integer, got 2.5"):
+        Instance((Job(1, 2.5, 0, 3),), model)
+    with pytest.raises(ValueError, match="job 1: field 'p' must be an integer, got True"):
+        Instance((Job(1, True, 0, 0),), model)
+    with pytest.raises(ValueError, match="job 2: field 'r_hi'"):
+        Instance((Job(1, 1, 0, 0), Job(2, 1, 0, 3.0)), model)
+    with pytest.raises(ValueError, match="field 'id'"):
+        Instance((Job(1.0, 1, 0, 0),), model)
+    with pytest.raises(ValueError, match="id order"):
+        Instance((Job(1, 1, 0, 0), Job(2**70, 1, 0, 0)), model)
+    with pytest.raises(ValueError, match="gamma must be an integer"):
+        UncertaintyModel("U1", 2.5)
+
+
+def test_instance_worst_case_bound_uses_exact_sum():
+    # four processing times of 2**62 sum to 2**64, which an int64 sum wraps to 0
+    model = UncertaintyModel("U2", 1)
+    with pytest.raises(ValueError, match="64-bit"):
+        make_instance([(2**62, 0, 0)] * 4)
+    with pytest.raises(ValueError, match="64-bit"):
+        Instance.from_arrays([2**62] * 4, [0] * 4, [0] * 4, model)
+    with pytest.raises(ValueError, match="64-bit"):
+        make_instance([(2**70, 0, 0)])
+    big = make_instance([(1, 0, MAX_TIME - 2), (1, 0, 0)])
+    assert big.columns[2].tolist() == [MAX_TIME - 2, 0]
+
+
+def test_schedule_requires_integer_ids():
+    with pytest.raises(ValueError, match="integer"):
+        Schedule((1.0, 2.0))
+    with pytest.raises(ValueError, match="integer"):
+        Schedule((True, 2))
+    n = 3000
+    with pytest.raises(ValueError, match="integer"):
+        Schedule(tuple(float(i) for i in range(1, n + 1)))
+    with pytest.raises(ValueError, match="permutation"):
+        Schedule(tuple(range(2, n + 2)))
+    assert Schedule(np.arange(1, n + 1)).indices.tolist() == list(range(n))
+
+
+def test_hot_paths_never_build_job_records():
+    rng = random.Random(6)
+    for n in (5, 3000):
+        p = [rng.randint(1, 9) for _ in range(n)]
+        r_lo = [rng.randint(0, 40) for _ in range(n)]
+        r_hi = [r + rng.randint(0, 30) for r in r_lo]
+        for model in (UncertaintyModel("U1", 12), UncertaintyModel("U2", 2)):
+            inst = Instance.from_arrays(p, r_lo, r_hi, model)
+            trimmed = normalize_u1(inst)
+            low, high = extreme_scenarios(inst)
+            sched, _ = solve_robust_absolute(inst)
+            report = solve_robust_regret(inst)
+            robust_absolute_cost(report.schedule, inst)
+            worst_case_scenario_absolute(sched, inst)
+            max_regret(sched, inst)
+            is_feasible(candidate_scenario(inst, 1), inst)
+            ev = evaluate(sched, high, inst)
+            find_critical_job(ev, sched, high, inst)
+            optimal_makespan(low, inst)
+            erd_schedule(low, inst)
+            for built in (inst, trimmed):
+                assert "jobs" not in built.__dict__
