@@ -17,7 +17,6 @@ from .core import (
     UncertaintyModel,
     erd_schedule,
     evaluate,
-    find_critical_job,
     optimal_makespan,
 )
 from .regret import (
@@ -61,7 +60,6 @@ __all__ = [
     "erd_schedule",
     "evaluate",
     "extreme_scenarios",
-    "find_critical_job",
     "is_feasible",
     "max_regret",
     "normalize_u1",

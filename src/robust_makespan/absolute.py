@@ -14,12 +14,11 @@ from .core import (
     Instance,
     Scenario,
     Schedule,
-    _VECTOR_MIN,
     _completions_and_critical,
     _completions_arrays,
     _stable_argsort,
 )
-from .uncertainty import _single_deviation
+from .uncertainty import candidate_scenario
 
 
 def _worst_case(schedule: Schedule, instance: Instance) -> tuple[int, int]:
@@ -50,8 +49,7 @@ def worst_case_scenario_absolute(schedule: Schedule, instance: Instance) -> Scen
     that job (to its trimmed upper bound); the result is feasible, attains
     robust_absolute_cost, and keeps the same job critical.
     """
-    _, jid = _worst_case(schedule, instance)
-    return Scenario(tuple(_single_deviation(instance, jid).tolist()))
+    return candidate_scenario(instance, _worst_case(schedule, instance)[1])
 
 
 def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
@@ -61,20 +59,8 @@ def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
     returned cost is the worst-case makespan of the returned schedule, which
     no other schedule can beat.
     """
-    n = instance.n
     p = instance.columns[0]
     upper = instance.trimmed_r_hi
-    if n < _VECTOR_MIN:
-        hi = upper.tolist()
-        procs = p.tolist()
-        perm = sorted(range(1, n + 1), key=lambda jid: (hi[jid - 1], jid))
-        t = 0
-        for jid in perm:
-            r = hi[jid - 1]
-            if r > t:
-                t = r
-            t += procs[jid - 1]
-        return Schedule(tuple(perm)), t
     order = _stable_argsort(upper)
     cost = int(_completions_arrays(upper[order], p[order])[-1])
     return Schedule._from_order(order), cost

@@ -8,19 +8,22 @@ processing times, 0 <= r_lo <= r_hi, and a worst-case completion time,
 sum(p) + max(r_hi) in Python integers, that fits the signed 64-bit range.
 So sort keys, completion times and oracle comparisons are exact. The
 per-job `jobs` tuple is derived only when something asks for it.
+
+A `Scenario` holds non-negative integer releases and a `Schedule` a
+permutation of job ids; each keeps a read-only int64 array of them.
+Every evaluator runs one numpy path for any n: `_releases` checks that a
+scenario fits the instance and that max(releases) + sum(p) fits in int64,
+so `_completions_arrays` can never wrap.
 """
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 MAX_TIME = 2**63 - 1
-
-# numpy kernels only pay off on long vectors; plain loops win below this
-_VECTOR_MIN = 2048
 
 @dataclass(frozen=True, slots=True)
 class Job:
@@ -253,26 +256,37 @@ class Instance:
 class Scenario:
     """One concrete release-date vector, indexed by job id.
 
-    A scenario may violate the deviation budget (the solvers reason about the
-    hypothetical all-upper-bounds vector, which is often infeasible); budget
-    feasibility is a separate predicate in the uncertainty module.
+    Releases are integers of at least 0 (bools and floats are refused);
+    `array` is their read-only int64 copy. A scenario may violate the
+    deviation budget (the solvers reason about the hypothetical
+    all-upper-bounds vector, which is often infeasible); budget feasibility
+    is a separate predicate in the uncertainty module.
     """
 
     releases: tuple[int, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "releases", tuple(self.releases))
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        return np.fromiter(self.releases, dtype=np.int64, count=len(self.releases))
+        releases = tuple(self.releases)
+        object.__setattr__(self, "releases", releases)
+        arr = _int64_column(releases, lambda k: f"release of job {k + 1}")
+        if arr.size and arr.min() < 0:
+            k = int(np.flatnonzero(arr < 0)[0])
+            raise ValueError(f"release of job {k + 1} must be at least 0, got {releases[k]}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "array", arr)
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """A processing order: perm[i] is the id of the job processed (i+1)-th."""
+    """A processing order: perm[i] is the id of the job processed (i+1)-th.
+
+    `indices` holds the zero-based job indices in processing order, as a
+    read-only int64 array.
+    """
 
     perm: tuple[int, ...]
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         perm = tuple(self.perm)
@@ -280,17 +294,12 @@ class Schedule:
         k = _first_non_integer(perm)
         if k is not None:
             raise ValueError(f"perm entries must be integer job ids, got {perm[k]!r}")
-        n = len(perm)
-        if n < _VECTOR_MIN:
-            if sorted(perm) != list(range(1, n + 1)):
-                raise ValueError("perm must be a permutation of job ids 1..n")
-            return
         idx = _int64_array(perm)
-        if idx is None or idx.min() < 1 or idx.max() > n or (np.bincount(idx - 1) != 1).any():
+        if idx is None or not np.array_equal(np.sort(idx), np.arange(1, len(perm) + 1)):
             raise ValueError("perm must be a permutation of job ids 1..n")
         idx = idx - 1
         idx.setflags(write=False)
-        self.__dict__["indices"] = idx
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def _from_order(cls, order: np.ndarray) -> Schedule:
@@ -302,20 +311,19 @@ class Schedule:
         schedule = object.__new__(cls)
         object.__setattr__(schedule, "perm", tuple((order + 1).tolist()))
         order.setflags(write=False)
-        schedule.__dict__["indices"] = order
+        object.__setattr__(schedule, "indices", order)
         return schedule
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """Zero-based job indices in processing order."""
-        idx = np.fromiter(self.perm, dtype=np.int64, count=len(self.perm)) - 1
-        idx.setflags(write=False)
-        return idx
 
 
 @dataclass(frozen=True)
 class ScheduleEvaluation:
-    """Completion times by position, the makespan, and one critical position."""
+    """Completion times by position, the makespan, and one critical position.
+
+    The critical position is the largest one whose job completes exactly at
+    its release plus processing time. From there on the machine never
+    idles, so that job's release plus the processing times from it to the
+    end equal the makespan. Position 1 always qualifies.
+    """
 
     completions: tuple[int, ...]
     makespan: int
@@ -327,11 +335,32 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
+def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None = None
+              ) -> np.ndarray:
+    """The scenario's int64 releases, after the checks every evaluator shares.
+
+    The scenario (and the schedule, if given) must cover every job, and the
+    latest possible completion, max(releases) + sum(p), must fit in int64;
+    sum(p) is exact in int64 because the instance bound holds.
+    """
+    n = instance.n
+    releases = scenario.array
+    if releases.size != n or (schedule is not None and len(schedule.perm) != n):
+        perm = "" if schedule is None else f", perm has {len(schedule.perm)}"
+        raise ValueError(
+            f"dimension mismatch: instance has {n} jobs{perm}, scenario has {releases.size}"
+        )
+    if int(releases.max()) + int(instance.columns[0].sum()) > MAX_TIME:
+        raise ValueError("time data too large: worst-case completion exceeds 64-bit range")
+    return releases
+
+
 def _completions_arrays(releases: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Completion times of a processing order given aligned release/processing arrays.
 
     Uses C_i = P_i + max_{k<=i}(r_k - P_{k-1}), the closed form of the
-    start-at-max(previous completion, release) recursion.
+    start-at-max(previous completion, release) recursion, with the machine
+    free from time 0 (releases are never negative).
     """
     prefix = np.cumsum(p)
     return prefix + np.maximum.accumulate(releases - (prefix - p))
@@ -350,90 +379,22 @@ def _completions_and_critical(
 
 def evaluate(schedule: Schedule, scenario: Scenario, instance: Instance) -> ScheduleEvaluation:
     """Run the completion-time recursion for one order under one scenario."""
-    n = instance.n
-    if len(schedule.perm) != n or len(scenario.releases) != n:
-        raise ValueError(
-            f"dimension mismatch: instance has {n} jobs, "
-            f"perm has {len(schedule.perm)}, scenario has {len(scenario.releases)}"
-        )
-    if n < _VECTOR_MIN:
-        rel = scenario.releases
-        p = instance.columns[0].tolist()
-        completions = []
-        t = 0
-        for jid in schedule.perm:
-            r = rel[jid - 1]
-            if r > t:
-                t = r
-            t += p[jid - 1]
-            completions.append(t)
-        crit = n
-        while crit > 1:
-            jid = schedule.perm[crit - 1]
-            if completions[crit - 1] == rel[jid - 1] + p[jid - 1]:
-                break
-            crit -= 1
-        return ScheduleEvaluation(tuple(completions), completions[-1], crit)
-
-    comp, crit = _completions_and_critical(scenario.array, instance.columns[0], schedule.indices)
+    releases = _releases(instance, scenario, schedule)
+    comp, crit = _completions_and_critical(releases, instance.columns[0], schedule.indices)
     return ScheduleEvaluation(tuple(comp.tolist()), int(comp[-1]), crit)
-
-
-def find_critical_job(
-    evaluation: ScheduleEvaluation,
-    schedule: Schedule,
-    scenario: Scenario,
-    instance: Instance,
-) -> int:
-    """Largest position whose job completes exactly at its release plus processing time.
-
-    From that position on the machine never idles, so the job there determines
-    the makespan. Position 1 always qualifies.
-    """
-    rel = scenario.releases
-    p = instance.columns[0].tolist()
-    completions = evaluation.completions
-    for i in range(len(completions), 1, -1):
-        jid = schedule.perm[i - 1]
-        if completions[i - 1] == rel[jid - 1] + p[jid - 1]:
-            return i
-    return 1
 
 
 def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
     """Order jobs by non-decreasing release date, ties by ascending job id."""
-    n = instance.n
-    if len(scenario.releases) != n:
-        raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
-    if n < _VECTOR_MIN:
-        rel = scenario.releases
-        perm = sorted(range(1, n + 1), key=lambda jid: (rel[jid - 1], jid))
-        return Schedule(tuple(perm))
-    return Schedule._from_order(_stable_argsort(scenario.array))
+    return Schedule._from_order(_stable_argsort(_releases(instance, scenario)))
 
 
 def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
     """Makespan of the release-sorted order, straight from the arrays."""
     order = _stable_argsort(releases)
-    rel = releases[order]
-    ps = p[order]
-    prefix = np.cumsum(ps)
-    return int(prefix[-1] + np.max(rel - (prefix - ps)))
+    return int(_completions_arrays(releases[order], p[order])[-1])
 
 
 def optimal_makespan(scenario: Scenario, instance: Instance) -> int:
     """Minimum makespan over all orders: sort by release date and evaluate."""
-    n = instance.n
-    if len(scenario.releases) != n:
-        raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
-    if n < _VECTOR_MIN:
-        rel = scenario.releases
-        p = instance.columns[0].tolist()
-        t = 0
-        for i in sorted(range(n), key=lambda i: (rel[i], i)):
-            r = rel[i]
-            if r > t:
-                t = r
-            t += p[i]
-        return t
-    return _erd_makespan_arrays(scenario.array, instance.columns[0])
+    return _erd_makespan_arrays(_releases(instance, scenario), instance.columns[0])

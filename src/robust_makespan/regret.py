@@ -9,7 +9,9 @@ the job's single-deviation scenario).
 Those n per-scenario optima are computed two ways: a reference path that
 re-sorts and re-evaluates each scenario, and a fast path that reads every
 optimum off a slack profile of the all-lower-bounds schedule plus a
-range-minimum table, in O(n log n) total. Both must agree exactly.
+range-minimum table, in O(n log n) total, in numpy passes at every n. Both
+must agree exactly. The regret report reuses the same profile pass on the
+schedule's own order.
 """
 from __future__ import annotations
 
@@ -22,18 +24,16 @@ from .core import (
     Instance,
     Scenario,
     Schedule,
+    _completions_arrays,
     _stable_argsort,
     evaluate,
     optimal_makespan,
 )
 from .rmq import IntervalMinTable
-from . import _accel
 
 # below this size the per-candidate reference path sorts from scratch in
 # plain Python; above it, it re-sorts incrementally on numpy arrays
 _NAIVE_SMALL = 128
-# the fused compiled engine only pays off once arrays outgrow the caches
-_KERNEL_MIN = 32768
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,9 @@ def _release_order(r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _profile_from_sorted(
     rs: np.ndarray, ps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(completions, slack, idle_before, idle_after) of the release-sorted order."""
-    prefix = np.cumsum(ps)
-    comp = prefix + np.maximum.accumulate(rs - (prefix - ps))
+    """(completions, slack, idle_before, idle_after) of an order, from its aligned releases
+    and processing times; the slack profile passes the release-sorted order."""
+    comp = _completions_arrays(rs, ps)
     comp_prev = np.empty_like(comp)
     comp_prev[0] = 0
     comp_prev[1:] = comp[:-1]
@@ -151,29 +151,12 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -
     (and never more than p_j), and the delay it causes at its new position is
     absorbed by whatever idle time remains afterwards. All of that is read off
     the all-lower-bounds profile with range-minimum queries.
-
-    Very large instances run the fused compiled engine when available; the
-    numpy path is the fallback and produces identical values.
     """
-    n = p.size
     order, rs = _release_order(r_lo)
     ps = p[order]
-    rh = r_hi[order]
-    if _accel.HAVE_KERNELS and n >= _KERNEL_MIN:
-        comp, slack, idle_after = _accel.schedule_profile(rs, ps)
-        flat, offsets = IntervalMinTable(slack).flattened()
-        if 0 <= int(rs[0]) and int(rs[-1]) < 2**31 and int(rh.max()) < 2**31:
-            # narrow search keys: half the binary-search footprint
-            optima = _accel.candidate_optima(
-                rs.astype(np.int32), ps, rh.astype(np.int32), flat, offsets, comp, idle_after
-            )
-        else:
-            optima = _accel.candidate_optima(rs, ps, rh, flat, offsets, comp, idle_after)
-    else:
-        comp, slack, _, idle_after = _profile_from_sorted(rs, ps)
-        optima = _optima_sorted_numpy(rs, ps, rh, slack, comp, idle_after)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = optima
+    comp, slack, _, idle_after = _profile_from_sorted(rs, ps)
+    out = np.empty(p.size, dtype=np.int64)
+    out[order] = _optima_sorted_numpy(rs, ps, r_hi[order], slack, comp, idle_after)
     return out
 
 
@@ -295,17 +278,10 @@ def _regret_report(
     """
     idx = schedule.indices
     pp = p[idx]
-    rl = r_lo[idx]
-    rh = r_hi[idx]
-    prefix = np.cumsum(pp)
-    comp = prefix + np.maximum.accumulate(rl - (prefix - pp))
-    comp_prev = np.empty_like(comp)
-    comp_prev[0] = 0
-    comp_prev[1:] = comp[:-1]
-    idle_before = (comp - pp) - comp_prev
-    idle_cum = np.cumsum(idle_before)
-    idle_after = idle_cum[-1] - idle_cum
-    bump = np.maximum(comp_prev, rh) - np.maximum(comp_prev, rl)
+    comp, _, idle_before, idle_after = _profile_from_sorted(r_lo[idx], pp)
+    start = comp - pp
+    # the job's start moves from max(previous completion, r_lo) to the same with r_hi
+    bump = np.maximum(start - idle_before, r_hi[idx]) - start
     worst_makespan = int(comp[-1]) + np.maximum(bump - idle_after, 0)
     per_position = worst_makespan - optima_by_id[idx]
     per_candidate = np.empty_like(per_position)

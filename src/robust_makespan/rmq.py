@@ -7,7 +7,9 @@ left to right: block lengths grow while alignment and fit allow, then
 shrink to cover the tail. Each query touches O(log n) blocks.
 
 This is deliberately the compact, logarithmic-query variant rather than the
-overlapping-interval table with O(1) queries.
+overlapping-interval table with O(1) queries. `range_min_many` answers many
+queries at once by walking the same blocks for all of them level by level
+in numpy; the per-query walk is its reference.
 """
 from __future__ import annotations
 
@@ -41,15 +43,6 @@ class IntervalMinTable:
             cur = np.minimum(cur[0:full:2], cur[1:full:2])
             levels.append(cur)
         self.levels = levels
-        self._flat: tuple[np.ndarray, np.ndarray] | None = None
-
-    def flattened(self) -> tuple[np.ndarray, np.ndarray]:
-        """(all levels concatenated, start offset of each level), for bulk walkers."""
-        if self._flat is None:
-            offsets = np.zeros(len(self.levels), dtype=np.int64)
-            np.cumsum([lv.size for lv in self.levels[:-1]], out=offsets[1:])
-            self._flat = (np.concatenate(self.levels), offsets)
-        return self._flat
 
     def consumed_blocks(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Blocks (start, level) the two-phase walk visits for [lo, hi] (1-based, inclusive).

@@ -5,12 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Scenario, _VECTOR_MIN
+from .core import MAX_TIME, Instance, Scenario, _releases
 
 
 @dataclass(frozen=True)
 class CandidateScenarioSet:
-    """The n single-deviation scenarios: number j raises only job j to its upper bound.
+    """The n single-deviation scenarios: number j raises only job j to its trimmed upper bound.
 
     For a trimmed instance this finite set is enough to certify worst-case
     regret for every schedule.
@@ -24,23 +24,17 @@ def is_feasible(scenario: Scenario, instance: Instance) -> bool:
 
     The scenario is assumed to respect the release intervals; this predicate
     checks only the deviation budget (summed deviation for U1, count of
-    deviating jobs for U2).
+    deviating jobs for U2). Like the evaluators, it raises ValueError when
+    max(releases) + sum(p) leaves the 64-bit range.
     """
-    n = instance.n
-    if len(scenario.releases) != n:
-        raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
     model = instance.uncertainty
-    r_lo = instance.columns[1]
-    if n < _VECTOR_MIN:
-        rel = scenario.releases
-        lows = r_lo.tolist()
-        if model.kind == "U1":
-            return sum(rel[i] - lows[i] for i in range(n)) <= model.gamma
-        return sum(1 for i in range(n) if rel[i] != lows[i]) <= model.gamma
-    dev = scenario.array - r_lo
-    if model.kind == "U1":
+    dev = _releases(instance, scenario) - instance.columns[1]
+    if model.kind == "U2":
+        return int(np.count_nonzero(dev)) <= model.gamma
+    # the int64 sum is exact while n * max|dev| fits; otherwise sum Python integers
+    if max(int(dev.max()), -int(dev.min())) * dev.size <= MAX_TIME:
         return int(dev.sum()) <= model.gamma
-    return int(np.count_nonzero(dev)) <= model.gamma
+    return sum(dev.tolist()) <= model.gamma
 
 
 def normalize_u1(instance: Instance) -> Instance:
@@ -61,13 +55,11 @@ def normalize_u1(instance: Instance) -> Instance:
 
 
 def candidate_scenario(instance: Instance, jid: int) -> Scenario:
-    """The scenario with job `jid` at its upper bound and every other job at its lower bound."""
+    """The scenario with job `jid` at its trimmed upper bound and every other job at its
+    lower bound: the candidate that `RegretReport.worst_job` names, always feasible."""
     if not 1 <= jid <= instance.n:
         raise ValueError(f"no job with id {jid}")
-    _, r_lo, r_hi = instance.columns
-    releases = r_lo.tolist()
-    releases[jid - 1] = int(r_hi[jid - 1])
-    return Scenario(tuple(releases))
+    return Scenario(tuple(_single_deviation(instance, jid).tolist()))
 
 
 def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
@@ -79,19 +71,14 @@ def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
 
 
 def candidate_scenarios(instance: Instance) -> CandidateScenarioSet:
-    """All n single-deviation scenarios, in job-id order.
+    """All n single-deviation scenarios (`candidate_scenario`), in job-id order.
 
     Materializes n vectors of length n; meant for small and mid-size
     instances (the solvers never build this set explicitly).
     """
-    _, r_lo, r_hi = instance.columns
-    lows = r_lo.tolist()
-    scenarios = []
-    for i, high in enumerate(r_hi.tolist()):
-        releases = list(lows)
-        releases[i] = high
-        scenarios.append(Scenario(tuple(releases)))
-    return CandidateScenarioSet(tuple(scenarios))
+    return CandidateScenarioSet(
+        tuple(candidate_scenario(instance, jid) for jid in range(1, instance.n + 1))
+    )
 
 
 def extreme_scenarios(instance: Instance) -> tuple[Scenario, Scenario]:

@@ -6,7 +6,6 @@ from robust_makespan import (
     Schedule,
     evaluate,
     extreme_scenarios,
-    find_critical_job,
     is_feasible,
     normalize_u1,
     robust_absolute_cost,
@@ -74,7 +73,7 @@ def test_worst_scenario_attains_cost_and_keeps_critical_job():
         _, upper = extreme_scenarios(inst)
         up_ev = evaluate(sched, upper, inst)
         assert up_ev.makespan == cost
-        crit = find_critical_job(up_ev, sched, upper, inst)
+        crit = up_ev.critical_position
         jid = sched.perm[crit - 1]
         suffix = sum(inst.jobs[j - 1].p for j in sched.perm[crit - 1 :])
         assert scenario.releases[jid - 1] + suffix == ev.makespan

@@ -249,15 +249,8 @@ def test_criterion_8_scaling():
             assert t_reg < 5.0
 
         small = _big_instance(803, 10**5, "U2")
-        import robust_makespan.regret as regret_mod
-
         tiny = _big_instance(805, 10**4, "U2")
-        saved = regret_mod._KERNEL_MIN
-        regret_mod._KERNEL_MIN = 1000  # same engine at 1e4 for the diagnostic
-        try:
-            t_tiny = _best_time(lambda: all_optimal_makespans_fast(tiny))
-        finally:
-            regret_mod._KERNEL_MIN = saved
+        t_tiny = _best_time(lambda: all_optimal_makespans_fast(tiny))
 
         growth = math.inf
         t_small = t_large = math.inf

@@ -18,7 +18,6 @@ from robust_makespan import (
     evaluate,
     candidate_scenario,
     extreme_scenarios,
-    find_critical_job,
     is_feasible,
     max_regret,
     normalize_u1,
@@ -138,7 +137,7 @@ def test_evaluate_completions_strictly_increase():
 
 
 def test_evaluate_vector_path_matches_loop_path():
-    # same schedule/scenario through the small-n loop and the array kernel
+    # the numpy path at n = 3000 against a Python-int loop
     rng = random.Random(2)
     n = 3000
     jobs = []
@@ -151,11 +150,14 @@ def test_evaluate_vector_path_matches_loop_path():
     ev = evaluate(sched, sc, inst)
     t = 0
     comp = []
-    for jid in sched.perm:
+    crit = 1
+    for i, jid in enumerate(sched.perm, start=1):
         t = max(t, sc.releases[jid - 1]) + inst.jobs[jid - 1].p
         comp.append(t)
+        if t == sc.releases[jid - 1] + inst.jobs[jid - 1].p:
+            crit = i
     assert list(ev.completions) == comp
-    assert ev.critical_position == find_critical_job(ev, sched, sc, inst)
+    assert ev.critical_position == crit
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +167,14 @@ def test_evaluate_vector_path_matches_loop_path():
 def test_critical_job_single_and_zero_release():
     inst = make_instance([(3, 5, 5)])
     ev = evaluate(Schedule((1,)), Scenario((5,)), inst)
-    assert find_critical_job(ev, Schedule((1,)), Scenario((5,)), inst) == 1
+    assert ev.critical_position == 1
 
 
 def test_critical_job_hand_case():
     inst = make_instance([(2, 3, 3), (2, 1, 1), (2, 2, 2)])
     sched, sc = Schedule((2, 3, 1)), Scenario((3, 1, 2))
     ev = evaluate(sched, sc, inst)
-    assert find_critical_job(ev, sched, sc, inst) == 1
+    assert ev.critical_position == 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -183,8 +185,7 @@ def test_critical_job_satisfies_makespan_equation(data):
     sched = random_schedule(rng, inst.n)
     sc = random_interval_scenario(rng, inst)
     ev = evaluate(sched, sc, inst)
-    i = find_critical_job(ev, sched, sc, inst)
-    assert i == ev.critical_position
+    i = ev.critical_position
     jid = sched.perm[i - 1]
     suffix = sum(inst.jobs[j - 1].p for j in sched.perm[i - 1 :])
     assert sc.releases[jid - 1] + suffix == ev.makespan
@@ -404,8 +405,7 @@ def test_hot_paths_never_build_job_records():
             worst_case_scenario_absolute(sched, inst)
             max_regret(sched, inst)
             is_feasible(candidate_scenario(inst, 1), inst)
-            ev = evaluate(sched, high, inst)
-            find_critical_job(ev, sched, high, inst)
+            evaluate(sched, high, inst).critical_position
             optimal_makespan(low, inst)
             erd_schedule(low, inst)
             for built in (inst, trimmed):

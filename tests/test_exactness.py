@@ -14,15 +14,21 @@ from hypothesis import strategies as st
 from robust_makespan import (
     Instance,
     Job,
+    Scenario,
     Schedule,
     UncertaintyModel,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
+    candidate_scenario,
+    candidate_scenarios,
+    erd_schedule,
     evaluate,
     extreme_scenarios,
     is_feasible,
     max_regret,
     normalize_u1,
+    optimal_makespan,
+    regret_of,
     robust_absolute_cost,
     solve_robust_absolute,
     solve_robust_regret,
@@ -47,10 +53,29 @@ def py_makespan(perm, releases, p):
     return t
 
 
+def py_erd(releases):
+    """Job ids in release order, ties by id."""
+    return sorted(range(1, len(releases) + 1), key=lambda jid: (releases[jid - 1], jid))
+
+
 def py_optimum(releases, p):
     """Optimal makespan of one scenario: release order, ties by id."""
-    order = sorted(range(1, len(p) + 1), key=lambda jid: (releases[jid - 1], jid))
-    return py_makespan(order, releases, p)
+    return py_makespan(py_erd(releases), releases, p)
+
+
+def py_evaluate(perm, releases, p):
+    """(completions, critical position) of processing `perm`, in Python integers.
+
+    The critical position is the last one whose job completes at its release
+    plus processing time.
+    """
+    t, completions, critical = 0, [], 1
+    for i, jid in enumerate(perm, start=1):
+        t = max(t, releases[jid - 1]) + p[jid - 1]
+        completions.append(t)
+        if t == releases[jid - 1] + p[jid - 1]:
+            critical = i
+    return completions, critical
 
 
 def py_reference(inst):
@@ -168,3 +193,110 @@ def test_solvers_exact_at_large_magnitudes(data):
     assert list(report.per_candidate) == py_per_candidate(report.schedule.perm, inst)
     other = random_schedule(rng, n)
     assert list(max_regret(other, inst).per_candidate) == py_per_candidate(other.perm, inst)
+
+
+def test_candidate_scenarios_raise_to_trimmed_bounds():
+    inst = make_instance([(1, 0, 10), (5, 0, 0)], kind="U1", gamma=2)
+    assert candidate_scenario(inst, 1).releases == (2, 0)
+    assert [sc.releases for sc in candidate_scenarios(inst).scenarios] == [(2, 0), (0, 0)]
+    rng = random.Random(12)
+    untrimmed = 0
+    for _ in range(120):
+        inst = random_instance(rng, kind="U1", w_max=25)
+        untrimmed += normalize_u1(inst) is not inst
+        report = solve_robust_regret(inst)
+        worst = candidate_scenario(inst, report.worst_job)
+        assert is_feasible(worst, inst)
+        assert regret_of(report.schedule, worst, inst) == report.regret
+        other = max_regret(random_schedule(rng, inst.n), inst)
+        scenarios = candidate_scenarios(inst).scenarios
+        assert all(is_feasible(sc, inst) for sc in scenarios)
+        assert [regret_of(other.schedule, sc, inst) for sc in scenarios] == list(
+            other.per_candidate
+        )
+    assert untrimmed > 30
+
+
+@pytest.mark.parametrize("n", [2, 3000])
+def test_scenarios_outside_int64_raise_value_error(n):
+    inst = Instance.from_arrays([1] * n, [0] * n, [0] * n, UncertaintyModel("U1", 5))
+    sched = Schedule(tuple(range(n, 0, -1)))
+    entry_points = (
+        lambda sc: evaluate(sched, sc, inst),
+        lambda sc: optimal_makespan(sc, inst),
+        lambda sc: erd_schedule(sc, inst),
+        lambda sc: is_feasible(sc, inst),
+    )
+    for release in (3.9, 2**63, -1, -(2**63), True):
+        with pytest.raises(ValueError):
+            Scenario((release,) + (0,) * (n - 1))
+    # fits in int64, but its completion at 2**63 would not
+    edge = Scenario((MAX_TIME,) + (0,) * (n - 1))
+    for call in entry_points:
+        with pytest.raises(ValueError, match="64-bit"):
+            call(edge)
+    # n ticks lower, every completion fits, the last one exactly
+    low = Scenario((MAX_TIME - n,) + (0,) * (n - 1))
+    releases = list(low.releases)
+    assert evaluate(Schedule(tuple(range(1, n + 1))), low, inst).makespan == MAX_TIME
+    assert evaluate(sched, low, inst).makespan == py_makespan(sched.perm, releases, [1] * n)
+    assert optimal_makespan(low, inst) == py_optimum(releases, [1] * n)
+    assert list(erd_schedule(low, inst).perm) == py_erd(releases)
+    assert not is_feasible(low, inst)
+
+
+@pytest.mark.parametrize("n", [2, 3000])
+def test_u1_deviation_sum_does_not_wrap(n):
+    big = 2**62 if n == 2 else 2**61
+    raised = min(n, 8)
+    # raised * big = 2**63 or 2**64: an int64 sum wraps to a negative value or 0
+    inst = Instance.from_arrays([1] * n, [0] * n, [big] * n, UncertaintyModel("U1", 5))
+    releases = [big] * raised + [0] * (n - raised)
+    assert sum(releases) > 5
+    assert not is_feasible(Scenario(tuple(releases)), inst)
+    ev = evaluate(Schedule(tuple(range(1, n + 1))), Scenario(tuple(releases)), inst)
+    assert ev.makespan == py_makespan(range(1, n + 1), releases, [1] * n)
+    roomy = Instance.from_arrays([1] * n, [0] * n, [big] * n, UncertaintyModel("U1", big))
+    assert is_feasible(Scenario((big,) + (0,) * (n - 1)), roomy)
+    assert not is_feasible(Scenario((big, 1) + (0,) * (n - 2)), roomy)
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 2047, 2048, 2049])
+def test_one_numpy_path_matches_python_loops_at_every_size(n):
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [rng.randint(0, 3 * n) for _ in range(n)]
+    r_hi = [r + rng.choice((0, 0, 5, 40)) for r in r_lo]
+    releases = [rng.randint(lo, hi) for lo, hi in zip(r_lo, r_hi)]
+    scenario = Scenario(tuple(releases))
+    deviation = sum(r - lo for r, lo in zip(releases, r_lo))
+    moved = sum(r != lo for r, lo in zip(releases, r_lo))
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    sched = Schedule(tuple(perm))
+    for model in (UncertaintyModel("U1", n), UncertaintyModel("U2", 2)):
+        inst = Instance.from_arrays(p, r_lo, r_hi, model)
+        ev = evaluate(sched, scenario, inst)
+        completions, critical = py_evaluate(perm, releases, p)
+        assert list(ev.completions) == completions
+        assert ev.makespan == completions[-1]
+        assert ev.critical_position == critical
+        assert optimal_makespan(scenario, inst) == py_optimum(releases, p)
+        assert list(erd_schedule(scenario, inst).perm) == py_erd(releases)
+        upper = py_reference(inst)[2]
+        got_sched, got_cost = solve_robust_absolute(inst)
+        assert list(got_sched.perm) == py_erd(upper)
+        assert got_cost == py_makespan(py_erd(upper), upper, p)
+    for kind, used in (("U1", deviation), ("U2", moved)):
+        for gamma in (used - 1, used):
+            if gamma < (1 if kind == "U2" else 0):
+                continue
+            inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(kind, gamma))
+            assert is_feasible(scenario, inst) == (used <= gamma)
+    # Schedule validation: n + 1, 0, floats and duplicates are refused
+    bad = [[n + 1] + perm[1:], [0] + perm[1:], [float(perm[0])] + perm[1:]]
+    if n >= 2:
+        bad.append([perm[1]] + perm[1:])
+    for perm_bad in bad:
+        with pytest.raises(ValueError):
+            Schedule(tuple(perm_bad))
