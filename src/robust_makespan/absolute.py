@@ -16,7 +16,7 @@ from .core import (
     Schedule,
     _completions_and_critical,
     _completions_arrays,
-    _stable_argsort,
+    _sorted_order,
 )
 from .uncertainty import candidate_scenario
 
@@ -61,6 +61,6 @@ def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
     """
     p = instance.columns[0]
     upper = instance.trimmed_r_hi
-    order = _stable_argsort(upper)
-    cost = int(_completions_arrays(upper[order], p[order])[-1])
+    order, sorted_upper = _sorted_order(upper)
+    cost = int(_completions_arrays(sorted_upper, p[order])[-1])
     return Schedule._from_order(order), cost

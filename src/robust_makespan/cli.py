@@ -34,6 +34,7 @@ from .absolute import (
     worst_case_scenario_absolute,
 )
 from .core import (
+    MAX_TIME,
     Instance,
     Job,
     Schedule,
@@ -41,7 +42,7 @@ from .core import (
     _completions_arrays,
     _erd_makespan_arrays,
     _int64_array,
-    _stable_argsort,
+    _sorted_order,
     evaluate,
     optimal_makespan,
 )
@@ -133,8 +134,8 @@ def _bulk_instance(jobs_doc: list, kind: str, gamma: int) -> Instance:
     columns = [[job[name] for job in jobs_doc] for name in ("p", "r_lo", "r_hi")]
     expected = np.arange(1, ids.size + 1)
     if not np.array_equal(ids, expected):
-        order = _stable_argsort(ids)
-        if not np.array_equal(ids[order], expected):
+        order, sorted_ids = _sorted_order(ids)
+        if not np.array_equal(sorted_ids, expected):
             raise ValueError("job ids must be 1..n")
         order = order.tolist()
         columns = [[values[k] for k in order] for values in columns]
@@ -172,8 +173,10 @@ def _checked_instance(path: str | Path, jobs_doc: list, kind: str, gamma: int) -
         raise CliError(f"{path}: {exc}") from exc
 
 
-def instance_text(kind: str, gamma: int, p, r_lo, r_hi) -> str:
-    """Serialize aligned job columns to the instance format (deterministic bytes)."""
+def dump_instance(instance: Instance) -> str:
+    """Serialize an instance to the instance format (deterministic bytes)."""
+    kind, gamma = instance.uncertainty.kind, instance.uncertainty.gamma
+    p, r_lo, r_hi = (c.tolist() for c in instance.columns)
     lines = [
         "{",
         f'  "version": {INSTANCE_VERSION},',
@@ -189,17 +192,6 @@ def instance_text(kind: str, gamma: int, p, r_lo, r_hi) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def dump_instance(instance: Instance) -> str:
-    p, r_lo, r_hi = instance.columns
-    return instance_text(
-        instance.uncertainty.kind,
-        instance.uncertainty.gamma,
-        p.tolist(),
-        r_lo.tolist(),
-        r_hi.tolist(),
-    )
 
 
 def solve_to_payload(criterion: str, instance: Instance) -> dict:
@@ -269,12 +261,26 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError("--gamma must be at least 1 for U2")
     if args.gamma < 0:
         raise CliError("--gamma must be non-negative")
+    # in Python integers, before numpy draws: an upper end past int64 makes
+    # numpy raise, and r_lo + width past it would wrap negative
+    for option, high in (("--p-range", p_max), ("--r-range", r_lo_max),
+                         ("--width-range", w_max)):
+        if high > MAX_TIME:
+            raise CliError(f"{option} upper end {high} exceeds the 64-bit limit {MAX_TIME}")
+    if r_lo_max + w_max > MAX_TIME:
+        raise CliError(
+            f"--r-range and --width-range: r_hi can reach {r_lo_max + w_max}, "
+            f"past the 64-bit limit {MAX_TIME}"
+        )
     rng = np.random.default_rng(args.seed)
-    p = rng.integers(p_min, p_max + 1, args.n)
-    r_lo = rng.integers(r_lo_min, r_lo_max + 1, args.n)
-    r_hi = r_lo + rng.integers(w_min, w_max + 1, args.n)
-    text = instance_text(args.model, args.gamma, p.tolist(), r_lo.tolist(), r_hi.tolist())
-    Path(args.output).write_text(text, encoding="utf-8")
+    p = rng.integers(p_min, p_max, args.n, endpoint=True)
+    r_lo = rng.integers(r_lo_min, r_lo_max, args.n, endpoint=True)
+    r_hi = r_lo + rng.integers(w_min, w_max, args.n, endpoint=True)
+    try:
+        instance = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(args.model, args.gamma))
+    except ValueError as exc:
+        raise CliError(f"{exc}: lower --n, --p-range, --r-range or --width-range") from exc
+    Path(args.output).write_text(dump_instance(instance), encoding="utf-8")
     return EXIT_OK
 
 
@@ -382,12 +388,45 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
     counts["regret-solver-optimality"] += 1
 
 
+def _verify_shifted(instance: Instance, counts: dict) -> None:
+    """Check the solvers on a copy with every release moved up by 2**62; raise on mismatch.
+
+    Shifting every release by the same amount shifts every makespan by it,
+    so both solvers must return the same orders, the regret report must be
+    unchanged and every optimum and the absolute cost must move by exactly
+    the shift.
+    """
+    shift = 2**62
+    p, r_lo, r_hi = instance.columns
+    shifted = Instance.from_arrays(p, r_lo + shift, r_hi + shift, instance.uncertainty)
+    problems = []
+    base, high = solve_robust_regret(instance), solve_robust_regret(shifted)
+    if (high.schedule.perm, high.regret, high.per_candidate) != (
+        base.schedule.perm, base.regret, base.per_candidate
+    ):
+        problems.append(f"regret {base.regret} -> {high.regret}")
+    optima = all_optimal_makespans_fast(instance)
+    moved = all_optimal_makespans_fast(shifted)
+    if not np.array_equal(moved, optima + shift):
+        problems.append(f"optima {optima.tolist()} -> {moved.tolist()}")
+    sched, cost = solve_robust_absolute(instance)
+    sched_high, cost_high = solve_robust_absolute(shifted)
+    if sched_high.perm != sched.perm or cost_high != cost + shift:
+        problems.append(f"absolute cost {cost} -> {cost_high}")
+    if problems:
+        raise _Counterexample(
+            "shifted-magnitude", instance, f"releases + 2**62: {'; '.join(problems)}"
+        )
+    counts["shifted-magnitude"] += 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    # (instance, whether to repeat its checks at shifted magnitude)
     instances = []
     if args.input:
-        instances.append(load_instance(args.input))
+        instances.append((load_instance(args.input), False))
     rng = random.Random(args.seed)
-    instances.extend(_random_check_instance(rng) for _ in range(args.trials))
+    instances.extend((_random_check_instance(rng), True) for _ in range(args.trials))
     if not instances:
         raise CliError("nothing to verify: give --input and/or --trials")
     counts: dict[str, int] = {
@@ -397,10 +436,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "absolute-solver-optimality": 0,
         "regret-solver-optimality": 0,
         "fast-vs-naive-optima": 0,
+        "shifted-magnitude": 0,
     }
     try:
-        for instance in instances:
+        for instance, shift in instances:
             _verify_instance(instance, rng, counts)
+            if shift:
+                _verify_shifted(instance, counts)
     except _Counterexample as cx:
         print(f"FAIL {cx.check}: {cx.detail}", file=sys.stderr)
         print("counterexample instance:", file=sys.stderr)

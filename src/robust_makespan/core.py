@@ -330,9 +330,42 @@ class ScheduleEvaluation:
     critical_position: int
 
 
+# from this many keys on, one packed ndarray.sort() beats the timsort behind
+# np.argsort(kind="stable") on int64 keys; below it the packed path's fixed
+# cost of about 10 us loses (crossover table in CHANGES.md)
+_PACKED_MIN = 1024
+
+
+def _sorted_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, values[order]) of a stable sort of an int64 array; ties keep ascending index.
+
+    From `_PACKED_MIN` keys on, when max - min (in Python integers) fits in
+    62 - bits bits, bits = (n - 1).bit_length(), this is one ndarray.sort()
+    of ((values - min) << bits) | index: the index makes every packed key
+    distinct, so the fast unstable sort gives the stable order, and the
+    sorted values come back by shifting. Otherwise it is
+    np.argsort(kind="stable"), a timsort on int64 keys.
+    """
+    n = values.size
+    if n >= _PACKED_MIN:
+        bits = (n - 1).bit_length()
+        low = int(values.min())
+        if int(values.max()) - low < 1 << (62 - bits):
+            packed = values - low
+            packed <<= bits
+            packed |= np.arange(n, dtype=np.int64)
+            packed.sort()
+            order = packed & ((1 << bits) - 1)
+            packed >>= bits
+            packed += low
+            return order, packed
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
+
+
 def _stable_argsort(values: np.ndarray) -> np.ndarray:
-    """Stable argsort (radix for integers); ties keep ascending-id order."""
-    return np.argsort(values, kind="stable")
+    """The order of `_sorted_order`: a stable argsort, ties in ascending-index order."""
+    return _sorted_order(values)[0]
 
 
 def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None = None
@@ -391,8 +424,8 @@ def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
 
 def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
     """Makespan of the release-sorted order, straight from the arrays."""
-    order = _stable_argsort(releases)
-    return int(_completions_arrays(releases[order], p[order])[-1])
+    order, sorted_releases = _sorted_order(releases)
+    return int(_completions_arrays(sorted_releases, p[order])[-1])
 
 
 def optimal_makespan(scenario: Scenario, instance: Instance) -> int:

@@ -25,6 +25,7 @@ from .core import (
     Scenario,
     Schedule,
     _completions_arrays,
+    _sorted_order,
     _stable_argsort,
     evaluate,
     optimal_makespan,
@@ -73,15 +74,8 @@ def regret_of(schedule: Schedule, scenario: Scenario, instance: Instance) -> int
 
 
 def _release_order(r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sorted releases) by (release, id): packed one-key sort when it fits."""
-    n = r_lo.size
-    bits = max(1, (n - 1).bit_length())
-    if n and 0 <= int(r_lo.min()) and int(r_lo.max()) < (1 << (62 - bits)):
-        packed = (r_lo << bits) | np.arange(n, dtype=np.int64)
-        packed.sort()
-        return packed & ((1 << bits) - 1), packed >> bits
-    order = _stable_argsort(r_lo)
-    return order, r_lo[order]
+    """(order, sorted releases) by (release, id)."""
+    return _sorted_order(r_lo)
 
 
 def _profile_from_sorted(

@@ -1,7 +1,9 @@
-"""Shared builders for randomized instance/scenario/schedule fixtures."""
+"""Shared builders for randomized instance/scenario/schedule fixtures, and an np.argsort spy."""
 from __future__ import annotations
 
 import random
+
+import numpy as np
 
 from robust_makespan import Instance, Job, Scenario, Schedule, UncertaintyModel
 
@@ -44,3 +46,16 @@ def random_schedule(rng: random.Random, n: int) -> Schedule:
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
     return Schedule(tuple(ids))
+
+
+def count_argsort_calls(monkeypatch) -> list:
+    """Route np.argsort through a spy; the returned list grows by one per call."""
+    calls = []
+    real = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls

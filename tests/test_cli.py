@@ -338,6 +338,32 @@ def test_generate_rejects_bad_ranges(tmp_path, capsys):
     assert main(["generate", "--n", "0", "--gamma", "1", "--output", path]) == EXIT_USAGE
 
 
+def test_generate_refuses_ranges_past_int64(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    cases = [
+        # r_lo + width = 2**63 used to wrap to r_hi = -2**63 and exit 0
+        (["--r-range", str(2**62), str(2**62), "--width-range", str(2**62), str(2**62)],
+         "--r-range and --width-range"),
+        # an upper end of 2**63 used to crash in numpy
+        (["--r-range", "0", str(2**63)], "--r-range"),
+        (["--p-range", "1", str(2**63)], "--p-range"),
+        (["--width-range", "0", str(2**64)], "--width-range"),
+        # every range fits, but the worst-case completion does not
+        (["--p-range", str(2**62), str(2**62)], "--p-range"),
+    ]
+    for extra, option in cases:
+        argv = ["generate", "--n", "3", "--gamma", "1", "--output", str(path)] + extra
+        assert main(argv) == EXIT_USAGE, extra
+        assert option in capsys.readouterr().err, extra
+        assert not path.exists()
+    # the widest ranges that fit still generate a loadable instance
+    edge = ["generate", "--n", "1", "--gamma", "1", "--p-range", "1", "1",
+            "--r-range", str(2**62), str(2**62), "--width-range", str(2**62 - 2),
+            str(2**62 - 2), "--output", str(path)]
+    assert main(edge) == EXIT_OK
+    assert load_instance(path).columns[2].tolist() == [MAX_TIME - 1]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -390,6 +416,22 @@ def test_verify_catches_wrong_solver_order(monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_robust_absolute", bad_solver)
     assert main(["verify", "--trials", "60", "--seed", "1"]) == EXIT_COUNTEREXAMPLE
     assert "FAIL absolute-solver-optimality" in capsys.readouterr().err
+
+
+def test_verify_catches_solver_inexact_at_large_magnitude(monkeypatch, capsys):
+    # negative control: a cost rounded through float64 is exact on the small
+    # draws and off by up to 512 once every release is shifted by 2**62
+    exact = cli.solve_robust_absolute
+
+    def rounding_solver(instance):
+        schedule, cost = exact(instance)
+        return schedule, int(float(cost))
+
+    monkeypatch.setattr(cli, "solve_robust_absolute", rounding_solver)
+    assert main(["verify", "--trials", "20", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    err = capsys.readouterr().err
+    assert "FAIL shifted-magnitude" in err
+    assert "absolute cost" in err
 
 
 def test_verify_without_work_is_usage_error(capsys):

@@ -27,9 +27,15 @@ from robust_makespan import (
     solve_robust_regret,
     worst_case_scenario_absolute,
 )
-from robust_makespan.core import MAX_TIME
+from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
 
-from conftest import make_instance, random_instance, random_interval_scenario, random_schedule
+from conftest import (
+    count_argsort_calls,
+    make_instance,
+    random_instance,
+    random_interval_scenario,
+    random_schedule,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +213,73 @@ def test_erd_sorts_by_release():
 def test_erd_breaks_ties_by_id():
     inst = make_instance([(5, 1, 1), (2, 1, 1)])
     assert erd_schedule(Scenario((1, 1)), inst).perm == (1, 2)
+
+
+SORT_SIZES = [1, 2, _PACKED_MIN - 1, _PACKED_MIN, _PACKED_MIN + 1, 3000]
+
+
+def _sort_cases(n: int) -> dict:
+    """Named int64 key arrays of length n for the shared stable sort."""
+    rng = np.random.default_rng(n)
+    span = 1 << (62 - max(1, (n - 1).bit_length()))
+    cases = {
+        "heavy ties": rng.integers(0, 4, n),
+        "all equal": np.full(n, 7, dtype=np.int64),
+        "negative": rng.integers(-(2**40), 5, n),
+        "int64 extremes": rng.integers(-(2**63), MAX_TIME, n, endpoint=True),
+    }
+    # range exactly span - 1 (the widest that packs) and span (falls back),
+    # offset so that the keys are negative
+    for name, width in (("packs", span - 1), ("falls back", span)):
+        keys = rng.integers(-(2**61), -(2**61) + width, n, endpoint=True)
+        keys[0], keys[-1] = -(2**61), -(2**61) + width
+        if n > 3:
+            keys[1 : n // 2 : 3] = keys[n // 2]  # ties inside the wide range
+        cases[f"range {name}"] = keys
+    extremes = cases["int64 extremes"]
+    extremes[0], extremes[-1] = MAX_TIME, -(2**63)
+    return cases
+
+
+@pytest.mark.parametrize("n", SORT_SIZES)
+def test_sorted_order_is_the_stable_argsort(n):
+    for name, keys in _sort_cases(n).items():
+        order, ordered = _sorted_order(keys)
+        want = np.argsort(keys, kind="stable")
+        assert order.dtype == ordered.dtype == np.int64, name
+        assert np.array_equal(order, want), name
+        assert np.array_equal(ordered, keys[want]), name
+
+
+@pytest.mark.parametrize("n", SORT_SIZES)
+def test_sorted_order_packs_exactly_when_the_range_fits(n, monkeypatch):
+    cases = _sort_cases(n)
+    calls = count_argsort_calls(monkeypatch)
+    for name, keys in cases.items():
+        packs = n >= _PACKED_MIN and name not in ("range falls back", "int64 extremes")
+        calls.clear()
+        _sorted_order(keys)
+        assert len(calls) == (0 if packs else 1), name
+
+
+def test_fast_paths_never_call_argsort(monkeypatch):
+    rng = random.Random(7)
+    n = 3000
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [rng.randint(0, 3 * n) for _ in range(n)]
+    r_hi = [r + rng.randint(0, 40) for r in r_lo]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.argsort called on a fast path")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    for model in (UncertaintyModel("U1", 12), UncertaintyModel("U2", 2)):
+        inst = Instance.from_arrays(p, r_lo, r_hi, model)
+        low, _ = extreme_scenarios(inst)
+        solve_robust_absolute(inst)
+        solve_robust_regret(inst)
+        erd_schedule(low, inst)
+        optimal_makespan(low, inst)
 
 
 def test_erd_is_optimal_small():

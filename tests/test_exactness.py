@@ -34,7 +34,7 @@ from robust_makespan import (
     solve_robust_regret,
     worst_case_scenario_absolute,
 )
-from robust_makespan.core import MAX_TIME
+from robust_makespan.core import _PACKED_MIN, MAX_TIME
 from robust_makespan.oracle import (
     brute_max_regret,
     brute_min_max_regret,
@@ -42,7 +42,7 @@ from robust_makespan.oracle import (
     enumerate_feasible_scenarios,
 )
 
-from conftest import make_instance, random_instance, random_schedule
+from conftest import count_argsort_calls, make_instance, random_instance, random_schedule
 
 
 def py_makespan(perm, releases, p):
@@ -300,3 +300,37 @@ def test_one_numpy_path_matches_python_loops_at_every_size(n):
     for perm_bad in bad:
         with pytest.raises(ValueError):
             Schedule(tuple(perm_bad))
+
+
+@pytest.mark.parametrize("spread", ["packed", "fallback"])
+def test_sort_paths_exact_near_2_62(spread, monkeypatch):
+    # every release near 2**62 still packs (the sort subtracts the minimum);
+    # mixing releases near 0 and near 2**62 leaves no room for the job index,
+    # so every sort falls back to np.argsort
+    n = _PACKED_MIN + 1
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [2**62 * (spread == "packed" or k % 2) + rng.randint(0, 3 * n) for k in range(n)]
+    r_hi = [r + rng.choice((0, 0, 5, 40)) for r in r_lo]
+    releases = [rng.randint(lo, hi) for lo, hi in zip(r_lo, r_hi)]
+    calls = count_argsort_calls(monkeypatch)
+    for model in (UncertaintyModel("U1", 20), UncertaintyModel("U2", 2)):
+        inst = Instance.from_arrays(p, r_lo, r_hi, model)
+        _, lows, upper = py_reference(inst)
+        sched, cost = solve_robust_absolute(inst)
+        assert list(sched.perm) == py_erd(upper)
+        assert cost == py_makespan(sched.perm, upper, p)
+        # the regret rule in Python integers: sort by upper bound minus the
+        # candidate's optimum, ties by id
+        candidates = [lows[:j] + [upper[j]] + lows[j + 1 :] for j in range(n)]
+        optima = [py_optimum(rel, p) for rel in candidates]
+        perm = sorted(range(1, n + 1), key=lambda jid: (upper[jid - 1] - optima[jid - 1], jid))
+        per_candidate = [py_makespan(perm, rel, p) - opt for rel, opt in zip(candidates, optima)]
+        report = solve_robust_regret(inst)
+        assert list(report.schedule.perm) == perm
+        assert list(report.per_candidate) == per_candidate
+        assert report.regret == max(per_candidate)
+        scenario = Scenario(tuple(releases))
+        assert list(erd_schedule(scenario, inst).perm) == py_erd(releases)
+        assert optimal_makespan(scenario, inst) == py_optimum(releases, p)
+    assert (len(calls) == 0) == (spread == "packed")
