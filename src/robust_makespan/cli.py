@@ -455,6 +455,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if min(args.sizes) < 1:
+        raise CliError(f"--sizes must all be at least 1, got {min(args.sizes)}")
     rows = ["n,absolute_s,regret_s,fast_m_s,naive_m_s"]
     workers = os.cpu_count()
     for size in args.sizes:

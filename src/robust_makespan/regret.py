@@ -9,8 +9,11 @@ the job's single-deviation scenario).
 Those n per-scenario optima are computed two ways: a reference path that
 re-sorts and re-evaluates each scenario, and a fast path that reads every
 optimum off a slack profile of the all-lower-bounds schedule plus a
-range-minimum table, in O(n log n) total, in numpy passes at every n. Both
-must agree exactly. The regret report reuses the same profile pass on the
+range-minimum table, in O(n log n) total, in numpy passes at every n. The
+fast path clips the slack at max(p) before building the table (exact, as a
+job's pull never exceeds its p_j) and runs its insertion search, range
+queries and arithmetic over cache-sized position chunks. Both must agree
+exactly. The regret report reuses the same profile pass on the
 schedule's own order.
 """
 from __future__ import annotations
@@ -35,6 +38,10 @@ from .rmq import IntervalMinTable
 # below this size the per-candidate reference path sorts from scratch in
 # plain Python; above it, it re-sorts incrementally on numpy arrays
 _NAIVE_SMALL = 128
+
+# positions per chunk of the fast path's search, range queries and bump
+# arithmetic: the chunk's int64 temporaries stay in L2
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -114,27 +121,38 @@ def _optima_sorted_numpy(
     rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, slack: np.ndarray,
     comp: np.ndarray, idle_after: np.ndarray,
 ) -> np.ndarray:
-    """Per-candidate optima in sorted labels, via vectorized numpy passes."""
+    """Per-candidate optima in sorted labels, via vectorized numpy passes.
+
+    The pull is min(p_j, range minimum), so slack above max(p) cannot change
+    it: the table is built on slack clipped there, which turns long runs of
+    large slack into ties that its suffix-minimum shortcut answers. The
+    search, the queries and the arithmetic run over position chunks of
+    `_CHUNK`, so their temporaries stay in cache.
+    """
     n = rs.size
-    table = IntervalMinTable(slack)
-    # new 1-based position of each raised job: last slot whose lower bound it
-    # passes; 32-bit keys when they fit (half the binary-search footprint)
-    if n and int(rh.max()) < 2**31 and int(rs[-1]) < 2**31 and int(rs[0]) >= 0:
-        insert_at = np.searchsorted(rs.astype(np.int32), rh.astype(np.int32), side="right")
-    else:
-        insert_at = np.searchsorted(rs, rh, side="right")
-    positions = np.arange(1, n + 1, dtype=np.int64)
-    # empty ranges (job stays put) fall back to p_j via the query sentinel
-    pull = np.minimum(ps, table.range_min_many(positions + 1, insert_at))
-    slot = insert_at - 1
-    bump = rh - comp[slot] + pull
-    np.maximum(bump, 0, out=bump)
-    bump += ps
-    bump -= pull
-    bump -= idle_after[slot]
-    np.maximum(bump, 0, out=bump)
-    bump += int(comp[-1])
-    return bump
+    table = IntervalMinTable(np.minimum(slack, int(ps.max())))
+    base = int(comp[-1])
+    out = np.empty(n, dtype=np.int64)
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        raised = rh[a:b]
+        p_chunk = ps[a:b]
+        # new 1-based position of each raised job: last slot whose lower bound it passes
+        insert_at = np.searchsorted(rs, raised, side="right")
+        # empty ranges (job stays put) fall back to p_j via the query sentinel
+        pull = np.minimum(
+            p_chunk, table.range_min_many(np.arange(a + 2, b + 2, dtype=np.int64), insert_at)
+        )
+        slot = insert_at - 1
+        bump = raised - comp[slot] + pull
+        np.maximum(bump, 0, out=bump)
+        bump += p_chunk
+        bump -= pull
+        bump -= idle_after[slot]
+        np.maximum(bump, 0, out=bump)
+        bump += base
+        out[a:b] = bump
+    return out
 
 
 def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -> np.ndarray:

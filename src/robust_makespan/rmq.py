@@ -7,9 +7,13 @@ left to right: block lengths grow while alignment and fit allow, then
 shrink to cover the tail. Each query touches O(log n) blocks.
 
 This is deliberately the compact, logarithmic-query variant rather than the
-overlapping-interval table with O(1) queries. `range_min_many` answers many
-queries at once by walking the same blocks for all of them level by level
-in numpy; the per-query walk is its reference.
+overlapping-interval table with O(1) queries. Beside the levels the table
+keeps a suffix-minimum index: `suffix[i] = min(values[i:])` and `first[i]`,
+the first position k >= i holding that minimum. A range [lo, hi] that
+contains `first[lo - 1]` has the suffix minimum as its minimum, so
+`range_min_many` answers those ranges with one gather and walks the blocks
+only for the rest, level by level for all of them at once in numpy. The
+per-query walk (`range_min`, `consumed_blocks`) is its reference.
 """
 from __future__ import annotations
 
@@ -43,6 +47,14 @@ class IntervalMinTable:
             cur = np.minimum(cur[0:full:2], cur[1:full:2])
             levels.append(cur)
         self.levels = levels
+        # suffix minima and the first position attaining each: first[i] is
+        # the nearest k >= i with values[k] == suffix[k]; no position in
+        # between holds its own suffix minimum, so suffix[i] == suffix[k]
+        suffix = np.minimum.accumulate(arr[::-1])[::-1]
+        index_dtype = np.int32 if self.n < np.iinfo(np.int32).max else np.int64
+        starts = np.where(arr == suffix, np.arange(self.n, dtype=index_dtype), self.n)
+        self.suffix = suffix
+        self.first = np.minimum.accumulate(starts[::-1])[::-1]
 
     def consumed_blocks(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Blocks (start, level) the two-phase walk visits for [lo, hi] (1-based, inclusive).
@@ -83,23 +95,31 @@ class IntervalMinTable:
     def range_min_many(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Minima for many 1-based inclusive ranges in one vectorized pass.
 
-        Consumes exactly the same aligned blocks as the per-query walk, but
-        level-synchronously across all queries (both ends move inward).
-        Empty ranges (lo > hi) yield the int64 maximum.
+        A non-empty range with `first[lo - 1] < hi` holds the minimum of
+        values[lo - 1:], so its answer is `suffix[lo - 1]`. Every other
+        non-empty range consumes exactly the same aligned blocks as the
+        per-query walk, but level-synchronously across those queries (both
+        ends move inward). Empty ranges (lo > hi) yield the int64 maximum.
         """
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same shape")
-        nonempty = lo <= hi
-        if nonempty.any() and (
-            lo[nonempty].min() < 1 or hi[nonempty].max() > self.n
-        ):
-            raise ValueError(f"query ranges out of bounds for n={self.n}")
         out = np.full(lo.shape, _EMPTY_SENTINEL, dtype=np.int64)
-        # minima accumulate in a compact working set (one scatter into `out`
-        # at the end); finished queries are flushed out in batches
-        idx = np.nonzero(lo <= hi)[0]
+        nonempty = lo <= hi
+        if not nonempty.any():
+            return out
+        if lo[nonempty].min() < 1 or hi[nonempty].max() > self.n:
+            raise ValueError(f"query ranges out of bounds for n={self.n}")
+        # empty ranges may start anywhere; clip them into the index, the
+        # mask discards what they read
+        start = np.clip(lo - 1, 0, self.n - 1)
+        hit = nonempty & (self.first[start] < hi)
+        np.copyto(out, self.suffix[start], where=hit)
+        # the remaining minima accumulate in a compact working set (one
+        # scatter into `out` at the end); finished queries are flushed out
+        # in batches
+        idx = np.nonzero(nonempty & ~hit)[0]
         cur_lo = lo[idx] - 1
         cur_hi = hi[idx]  # fancy indexing copies; safe to mutate
         # every non-empty range consumes at least one block, so this working

@@ -455,6 +455,16 @@ def test_bench_emits_one_row_per_size(tmp_path, capsys):
         assert all(float(c) >= 0 for c in cells[1:] if c)
 
 
+@pytest.mark.parametrize("sizes", (["0"], ["-5"], ["50", "0"]))
+def test_bench_rejects_sizes_below_one_before_timing(tmp_path, capsys, sizes):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--sizes", *sizes, "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--sizes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bench_skips_naive_beyond_cap(capsys):
     assert main(["bench", "--sizes", "64", "--seed", "2", "--naive-cap", "10"]) == EXIT_OK
     row = capsys.readouterr().out.strip().splitlines()[-1]

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from robust_makespan import (
+    Instance,
     Scenario,
     Schedule,
+    UncertaintyModel,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
     build_slack_profile,
@@ -20,7 +22,9 @@ from robust_makespan import (
     regret_of,
     solve_robust_regret,
 )
+from robust_makespan import regret
 from robust_makespan.oracle import brute_max_regret, brute_min_max_regret
+from robust_makespan.rmq import IntervalMinTable
 
 from conftest import make_instance, random_instance, random_schedule
 
@@ -244,6 +248,75 @@ def test_naive_parallel_merge_is_deterministic():
     serial = all_optimal_makespans_naive(inst)
     assert np.array_equal(serial, all_optimal_makespans_naive(inst, workers=2))
     assert np.array_equal(serial, all_optimal_makespans_fast(inst))
+
+
+@pytest.fixture
+def rmq_split(monkeypatch):
+    """Count the fast path's range queries: calls, shortcut hits and walked ranges."""
+    seen = {"calls": 0, "hit": 0, "walked": 0}
+
+    class Spy(IntervalMinTable):
+        def range_min_many(self, lo, hi):
+            nonempty = lo <= hi
+            hit = nonempty & (self.first[np.clip(lo - 1, 0, self.n - 1)] < hi)
+            seen["calls"] += 1
+            seen["hit"] += int(hit.sum())
+            seen["walked"] += int((nonempty & ~hit).sum())
+            return super().range_min_many(lo, hi)
+
+    monkeypatch.setattr(regret, "IntervalMinTable", Spy)
+    return seen
+
+
+def _regime_instance(rng, n, span, kind, w_max, tie_step=1):
+    """Releases over [0, span) (multiples of tie_step), widths 0..w_max, p in 1..100."""
+    p = rng.integers(1, 101, n)
+    r_lo = rng.integers(0, max(1, span // tie_step), n) * tie_step
+    r_hi = r_lo + rng.integers(0, w_max + 1, n)
+    gamma = max(1, n // 10) if kind == "U2" else max(0, w_max // 2)
+    return Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(kind, gamma))
+
+
+def _regime_shapes(rng, n):
+    # loads from 25 (span 2n) down to 0.25 (span 200n) with mean p ~50; widths
+    # reach about 20 release positions so that ranges stay non-empty
+    for factor in (2, 50, 60, 200):
+        span = factor * n
+        for kind in ("U1", "U2"):
+            yield _regime_instance(rng, n, span, kind, max(100, 20 * factor))
+    for kind in ("U1", "U2"):
+        yield _regime_instance(rng, n, 60 * n, kind, 0)  # zero widths: every job stays put
+        yield _regime_instance(rng, n, 2 * n, kind, 200, tie_step=100)  # heavy release ties
+        yield _regime_instance(rng, n, 60 * n, kind, 3000, tie_step=600)
+
+
+@pytest.mark.parametrize("chunk", (7, 64))
+def test_fast_agrees_with_naive_across_load_regimes(monkeypatch, rmq_split, chunk):
+    # small chunks make n ~ 1000 cross many chunk boundaries; the underloaded
+    # shapes leave ranges the suffix-minimum shortcut cannot decide
+    monkeypatch.setattr(regret, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for inst in _regime_shapes(rng, int(rng.integers(900, 1100))):
+        calls = rmq_split["calls"]
+        fast = all_optimal_makespans_fast(inst)
+        assert rmq_split["calls"] - calls == -(-inst.n // chunk)
+        assert np.array_equal(fast, all_optimal_makespans_naive(inst))
+    assert rmq_split["hit"] > 0
+    assert rmq_split["walked"] > 0
+
+
+def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split):
+    n = regret._CHUNK + 1
+    rng = np.random.default_rng(n)
+    for inst in (
+        _regime_instance(rng, n, 60 * n, "U1", 1200),
+        _regime_instance(rng, n, 2 * n, "U2", 100),
+    ):
+        fast = all_optimal_makespans_fast(inst)
+        assert np.array_equal(fast, all_optimal_makespans_naive(inst, workers=2))
+    assert rmq_split["calls"] == 4
+    assert rmq_split["hit"] > 0
+    assert rmq_split["walked"] > 0
 
 
 # ---------------------------------------------------------------------------

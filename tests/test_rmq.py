@@ -132,3 +132,106 @@ def test_range_min_matches_naive_scan(values, data):
     lo = data.draw(st.integers(1, len(values)))
     hi = data.draw(st.integers(lo, len(values)))
     assert t.range_min(lo, hi) == min(values[lo - 1 : hi])
+
+
+# ---------------------------------------------------------------------------
+# suffix-minimum shortcut of range_min_many
+
+_SENTINEL = np.iinfo(np.int64).max
+_I64 = np.iinfo(np.int64)
+
+
+def _all_ranges(n):
+    lo, hi = zip(*((lo, hi) for lo in range(1, n + 1) for hi in range(lo, n + 1)))
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+def _shortcut_hits(t, lo, hi):
+    # the ranges the shortcut answers: non-empty and holding first[lo - 1]
+    return t.first[lo - 1] < hi
+
+
+def _check_every_range(values):
+    """range_min_many equals the scalar walk and a naive scan on every range;
+    returns the table and the shortcut hits over those ranges."""
+    t = build(values)
+    lo, hi = _all_ranges(len(values))
+    out = t.range_min_many(lo, hi)
+    for i in range(lo.size):
+        expected = min(values[lo[i] - 1 : hi[i]])
+        assert out[i] == expected == t.range_min(int(lo[i]), int(hi[i]))
+    return t, _shortcut_hits(t, lo, hi), lo, hi
+
+
+def test_suffix_index_by_hand():
+    t = build([5, 2, 7, 1, 3, 1])
+    assert t.suffix.tolist() == [1, 1, 1, 1, 1, 1]
+    assert t.first.tolist() == [3, 3, 3, 3, 5, 5]
+    t = build([4, 9, 2, 8])
+    assert t.suffix.tolist() == [2, 2, 2, 8]
+    assert t.first.tolist() == [2, 2, 2, 3]
+
+
+def test_shortcut_answers_every_range_of_an_ascending_vector():
+    _, hits, _, _ = _check_every_range(list(range(-5, 25)))
+    assert hits.all()
+
+
+def test_shortcut_answers_only_ranges_to_the_end_of_a_descending_vector():
+    n = 30
+    _, hits, _, hi = _check_every_range(list(range(n, 0, -1)))
+    assert np.array_equal(hits, hi == n)
+
+
+def test_shortcut_on_constant_vector():
+    _, hits, _, _ = _check_every_range([7] * 33)
+    assert hits.all()
+
+
+def test_shortcut_with_ties_at_the_minimum():
+    values = [3, 0, 5, 0, 4, 0, 9, 2, 0, 6, 1]
+    t, hits, lo, hi = _check_every_range(values)
+    # first[i] is the first zero at or after i; past the last zero only the
+    # ranges that reach the minimum of their own suffix hit
+    assert t.first.tolist() == [1, 1, 3, 3, 5, 5, 8, 8, 8, 10, 10]
+    assert hits.any() and not hits.all()
+
+
+def test_shortcut_with_int64_extremes():
+    values = [_I64.max, _I64.min, 0, _I64.max, -1, _I64.max, _I64.min, _I64.max]
+    t, hits, _, _ = _check_every_range(values)
+    assert t.suffix.dtype == np.int64
+    assert hits.any() and not hits.all()
+
+
+def test_shortcut_single_element_and_unit_ranges():
+    t = build([42])
+    assert t.range_min_many(np.array([1]), np.array([1])).tolist() == [42]
+    values = [6, 1, 8, 1, 0, 4]
+    t = build(values)
+    units = np.arange(1, len(values) + 1)
+    assert t.range_min_many(units, units).tolist() == values
+
+
+def test_shortcut_leaves_empty_ranges_at_the_sentinel():
+    t = build([6, 1, 8, 1, 0, 4])
+    # starts anywhere, including past either end of the index
+    lo = np.array([2, 7, 1, 0, 7, 6, 3])
+    hi = np.array([1, 6, 0, -1, 3, 5, 3])
+    assert t.range_min_many(lo, hi).tolist() == [_SENTINEL] * 6 + [8]
+    t = build([9])
+    assert t.range_min_many(np.array([2, 1]), np.array([1, 0])).tolist() == [_SENTINEL] * 2
+
+
+def test_shortcut_answers_without_the_block_levels():
+    # an ascending vector needs no walk at all: with its levels gone every
+    # non-empty range must still come out right
+    values = list(range(100, 160))
+    t = build(values)
+    t.levels = []
+    lo, hi = _all_ranges(len(values))
+    lo = np.concatenate([lo, [5, 61]])
+    hi = np.concatenate([hi, [4, 60]])
+    out = t.range_min_many(lo, hi)
+    assert out[:-2].tolist() == [values[a - 1] for a in lo[:-2]]
+    assert out[-2:].tolist() == [_SENTINEL] * 2
