@@ -21,10 +21,8 @@ from .core import (
 )
 from .regret import (
     RegretReport,
-    SlackProfile,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
-    build_slack_profile,
     max_regret,
     regret_of,
     solve_robust_regret,
@@ -50,11 +48,9 @@ __all__ = [
     "Scenario",
     "Schedule",
     "ScheduleEvaluation",
-    "SlackProfile",
     "UncertaintyModel",
     "all_optimal_makespans_fast",
     "all_optimal_makespans_naive",
-    "build_slack_profile",
     "candidate_scenario",
     "candidate_scenarios",
     "erd_schedule",

@@ -1,4 +1,4 @@
-"""Command-line front end: instance files, generation, solving, verification, benchmarks.
+"""Command-line front end: instance files, generation, solving, verification.
 
 Instance files are JSON:
 
@@ -22,7 +22,6 @@ import json
 import os
 import random
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -98,13 +97,13 @@ def load_instance(path: str | Path) -> Instance:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer literal too long to convert
+    except (ValueError, RecursionError) as exc:  # an over-long integer literal, or deep nesting
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CliError(f"{path}: top level must be an object")
@@ -234,12 +233,19 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
 # subcommands
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     payload = solve_to_payload(args.criterion, instance)
     text = json.dumps(payload) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -261,6 +267,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError("--gamma must be at least 1 for U2")
     if args.gamma < 0:
         raise CliError("--gamma must be non-negative")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     # in Python integers, before numpy draws: an upper end past int64 makes
     # numpy raise, and r_lo + width past it would wrap negative
     for option, high in (("--p-range", p_max), ("--r-range", r_lo_max),
@@ -280,7 +288,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         instance = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(args.model, args.gamma))
     except ValueError as exc:
         raise CliError(f"{exc}: lower --n, --p-range, --r-range or --width-range") from exc
-    Path(args.output).write_text(dump_instance(instance), encoding="utf-8")
+    _write_text(args.output, dump_instance(instance))
     return EXIT_OK
 
 
@@ -429,15 +437,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instances.extend((_random_check_instance(rng), True) for _ in range(args.trials))
     if not instances:
         raise CliError("nothing to verify: give --input and/or --trials")
-    counts: dict[str, int] = {
-        "erd-optimality": 0,
-        "worst-case-construction": 0,
-        "candidate-set-sufficiency": 0,
-        "absolute-solver-optimality": 0,
-        "regret-solver-optimality": 0,
-        "fast-vs-naive-optima": 0,
-        "shifted-magnitude": 0,
-    }
+    counts = dict.fromkeys(
+        ("erd-optimality", "worst-case-construction", "candidate-set-sufficiency",
+         "absolute-solver-optimality", "regret-solver-optimality", "fast-vs-naive-optima",
+         "shifted-magnitude"),
+        0,
+    )
     try:
         for instance, shift in instances:
             _verify_instance(instance, rng, counts)
@@ -451,37 +456,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check, count in counts.items():
         print(f"ok {check}: {count} cases")
     print(f"verified {len(instances)} instances")
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if min(args.sizes) < 1:
-        raise CliError(f"--sizes must all be at least 1, got {min(args.sizes)}")
-    rows = ["n,absolute_s,regret_s,fast_m_s,naive_m_s"]
-    workers = os.cpu_count()
-    for size in args.sizes:
-        rng = np.random.default_rng(args.seed + size)
-        p = rng.integers(1, 100, size)
-        r_lo = rng.integers(0, max(2 * size, 10), size)
-        r_hi = r_lo + rng.integers(0, 100, size)
-        instance = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U2", max(1, size // 10)))
-        t0 = time.perf_counter()
-        solve_robust_absolute(instance)
-        t1 = time.perf_counter()
-        solve_robust_regret(instance)
-        t2 = time.perf_counter()
-        all_optimal_makespans_fast(instance)
-        t3 = time.perf_counter()
-        if size <= args.naive_cap:
-            all_optimal_makespans_naive(instance, workers=workers)
-            naive = f"{time.perf_counter() - t3:.6f}"
-        else:
-            naive = ""
-        rows.append(f"{size},{t1 - t0:.6f},{t2 - t1:.6f},{t3 - t2:.6f},{naive}")
-    table = "\n".join(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(table, encoding="utf-8")
-    sys.stdout.write(table)
     return EXIT_OK
 
 
@@ -521,13 +495,6 @@ def _build_parser() -> _Parser:
     verify.add_argument("--seed", type=int, default=0)
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="time the solvers over a size sweep")
-    bench.add_argument("--sizes", type=int, nargs="+", required=True)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--output")
-    bench.add_argument("--naive-cap", type=int, default=20000,
-                       help="largest n for which the quadratic reference path is timed")
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

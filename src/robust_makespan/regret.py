@@ -35,30 +35,9 @@ from .core import (
 )
 from .rmq import IntervalMinTable
 
-# below this size the per-candidate reference path sorts from scratch in
-# plain Python; above it, it re-sorts incrementally on numpy arrays
-_NAIVE_SMALL = 128
-
 # positions per chunk of the fast path's search, range queries and bump
 # arithmetic: the chunk's int64 temporaries stay in L2
 _CHUNK = 2**14
-
-
-@dataclass(frozen=True)
-class SlackProfile:
-    """Structure of the optimal schedule when every release sits at its lower bound.
-
-    Jobs are relabeled into release-sorted order (ties by id). Per position:
-    completion time, slack (completion minus earliest possible completion),
-    idle time directly before the job, and total idle time after the job.
-    """
-
-    order: tuple[int, ...]
-    completions: tuple[int, ...]
-    slack: tuple[int, ...]
-    idle_before: tuple[int, ...]
-    idle_after: tuple[int, ...]
-    base_makespan: int
 
 
 @dataclass(frozen=True)
@@ -99,22 +78,6 @@ def _profile_from_sorted(
     idle_cum = np.cumsum(idle_before)
     idle_after = idle_cum[-1] - idle_cum
     return comp, slack, idle_before, idle_after
-
-
-def build_slack_profile(instance: Instance) -> SlackProfile:
-    """Profile the all-lower-bounds optimum: completions, slack and idle structure."""
-    p, r_lo, _ = instance.columns
-    order, rs = _release_order(r_lo)
-    ps = p[order]
-    comp, slack, idle_before, idle_after = _profile_from_sorted(rs, ps)
-    return SlackProfile(
-        order=tuple((order + 1).tolist()),
-        completions=tuple(comp.tolist()),
-        slack=tuple(slack.tolist()),
-        idle_before=tuple(idle_before.tolist()),
-        idle_after=tuple(idle_after.tolist()),
-        base_makespan=int(comp[-1]),
-    )
 
 
 def _optima_sorted_numpy(
@@ -240,22 +203,6 @@ def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) 
     n = instance.n
     p, r_lo, _ = instance.columns
     r_hi = instance.trimmed_r_hi
-    if n <= _NAIVE_SMALL:
-        lows = r_lo.tolist()
-        highs = r_hi.tolist()
-        procs = p.tolist()
-        out = []
-        for c in range(n):
-            rel = lows.copy()
-            rel[c] = highs[c]
-            t = 0
-            for i in sorted(range(n), key=lambda i: (rel[i], i)):
-                if rel[i] > t:
-                    t = rel[i]
-                t += procs[i]
-            out.append(t)
-        return np.array(out, dtype=np.int64)
-
     order, rs = _release_order(r_lo)
     ps = p[order]
     pos = np.empty(n, dtype=np.int64)

@@ -28,16 +28,10 @@ class IntervalMinTable:
     """Immutable block-minima table over an int64 value vector."""
 
     def __init__(self, values: Sequence[int] | np.ndarray):
-        arr = np.asarray(values, dtype=np.int64)
+        arr = np.array(values, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
         self.n = int(arr.size)
-        # narrow storage when the values allow: level gathers dominate the
-        # bulk-query cost and 32-bit entries halve that traffic
-        if self.n and np.iinfo(np.int32).min < arr.min() and arr.max() < np.iinfo(np.int32).max:
-            arr = arr.astype(np.int32)
-        else:
-            arr = arr.copy()
         # levels[k][i] = min(values[i * 2**k : (i + 1) * 2**k]); partial tail
         # blocks are not stored, the query walk never needs them
         levels = [arr]
@@ -124,8 +118,7 @@ class IntervalMinTable:
         cur_hi = hi[idx]  # fancy indexing copies; safe to mutate
         # every non-empty range consumes at least one block, so this working
         # sentinel never leaks into `out`
-        dtype = self.levels[0].dtype if self.levels else np.int64
-        res = np.full(idx.size, np.iinfo(dtype).max, dtype=dtype)
+        res = np.full(idx.size, _EMPTY_SENTINEL, dtype=np.int64)
         for level in self.levels:
             if not idx.size:
                 break
@@ -155,8 +148,3 @@ class IntervalMinTable:
         if idx.size:
             out[idx] = res
         return out
-
-
-def build(values: Sequence[int] | np.ndarray) -> IntervalMinTable:
-    """Preprocess a value vector for repeated range-minimum queries."""
-    return IntervalMinTable(values)

@@ -36,7 +36,7 @@ from robust_makespan.oracle import (
     brute_min_max_regret,
     brute_min_worst_cost,
 )
-from robust_makespan.rmq import build
+from robust_makespan.rmq import IntervalMinTable
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -201,7 +201,7 @@ def test_criterion_7_range_min_oracle():
             ]
             bound = (2 * math.ceil(math.log2(n)) + 2) if n > 1 else 2
             for values in vectors:
-                table = build(values)
+                table = IntervalMinTable(values)
                 for lo in range(1, n + 1):
                     for hi in range(lo, n + 1):
                         assert table.range_min(lo, hi) == min(values[lo - 1 : hi])
@@ -209,7 +209,7 @@ def test_criterion_7_range_min_oracle():
         for _ in range(12):
             n = rng.randint(65, 2048)
             values = [rng.randint(0, 50) for _ in range(n)]
-            table = build(values)
+            table = IntervalMinTable(values)
             bound = 2 * math.ceil(math.log2(n)) + 2
             for _ in range(400):
                 lo = rng.randint(1, n)

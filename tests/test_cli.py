@@ -1,4 +1,4 @@
-"""Instance/solution files and the four subcommands."""
+"""Instance/solution files and the three subcommands."""
 import dataclasses
 import json
 
@@ -291,6 +291,35 @@ def test_usage_error_exits_one(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+READERS = (["solve", "--criterion", "regret"], ["verify", "--trials", "0"])
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_undecodable_input_exits_one(tmp_path, capsys, command):
+    path = tmp_path / "inst.json"
+    path.write_bytes(b'{"version": 1, "jobs": "\xff"}')
+    assert main([*command, "--input", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", READERS)
+def test_deeply_nested_input_exits_one(tmp_path, capsys, command):
+    path = write(tmp_path, "[" * 100_000 + "]" * 100_000)
+    assert main([*command, "--input", path]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON") and "Traceback" not in err
+
+
+def test_solve_output_to_missing_directory_exits_one(tmp_path, capsys):
+    path = write(tmp_path, TWO_JOB)
+    out = tmp_path / "missing" / "sol.json"
+    assert main(["solve", "--criterion", "regret", "--input", path,
+                 "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -336,6 +365,16 @@ def test_generate_rejects_bad_ranges(tmp_path, capsys):
     assert main(["generate", "--n", "5", "--gamma", "1", "--width-range", "4", "1",
                  "--output", path]) == EXIT_USAGE
     assert main(["generate", "--n", "0", "--gamma", "1", "--output", path]) == EXIT_USAGE
+    assert main(["generate", "--n", "5", "--gamma", "1", "--seed", "-1",
+                 "--output", path]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_generate_output_to_missing_directory_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "inst.json"
+    assert main(["generate", "--n", "5", "--gamma", "1", "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}:") and "Traceback" not in err
 
 
 def test_generate_refuses_ranges_past_int64(tmp_path, capsys):
@@ -436,36 +475,3 @@ def test_verify_catches_solver_inexact_at_large_magnitude(monkeypatch, capsys):
 
 def test_verify_without_work_is_usage_error(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def test_bench_emits_one_row_per_size(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
-    assert main(["bench", "--sizes", "50", "200", "--seed", "1", "--output", out]) == EXIT_OK
-    lines = open(out).read().strip().splitlines()
-    assert lines[0] == "n,absolute_s,regret_s,fast_m_s,naive_m_s"
-    assert len(lines) == 3
-    assert lines[1].startswith("50,") and lines[2].startswith("200,")
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 5
-        assert all(float(c) >= 0 for c in cells[1:] if c)
-
-
-@pytest.mark.parametrize("sizes", (["0"], ["-5"], ["50", "0"]))
-def test_bench_rejects_sizes_below_one_before_timing(tmp_path, capsys, sizes):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--sizes", *sizes, "--output", str(out)]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert "--sizes" in captured.err
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def test_bench_skips_naive_beyond_cap(capsys):
-    assert main(["bench", "--sizes", "64", "--seed", "2", "--naive-cap", "10"]) == EXIT_OK
-    row = capsys.readouterr().out.strip().splitlines()[-1]
-    assert row.endswith(",")

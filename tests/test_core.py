@@ -1,13 +1,16 @@
 """Core types and the completion-time machinery."""
 import pickle
 import random
+import re
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robust_makespan
 from robust_makespan import (
     Instance,
     Job,
@@ -483,3 +486,13 @@ def test_hot_paths_never_build_job_records():
             erd_schedule(low, inst)
             for built in (inst, trimmed):
                 assert "jobs" not in built.__dict__
+
+
+# ---------------------------------------------------------------------------
+# public surface
+
+
+def test_every_public_name_appears_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in robust_makespan.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []

@@ -7,12 +7,14 @@ reference recursion below.
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_makespan import (
     Instance,
+    IntervalMinTable,
     Job,
     Scenario,
     Schedule,
@@ -334,3 +336,11 @@ def test_sort_paths_exact_near_2_62(spread, monkeypatch):
         assert list(erd_schedule(scenario, inst).perm) == py_erd(releases)
         assert optimal_makespan(scenario, inst) == py_optimum(releases, p)
     assert (len(calls) == 0) == (spread == "packed")
+
+
+def test_range_min_table_stores_int64_for_every_input():
+    # values that would fit 32 bits get the same full-width levels and suffix
+    for values in ([5, 2, 7, 1], [0] * 9, [MAX_TIME, -MAX_TIME - 1, 3, 0, 1]):
+        t = IntervalMinTable(values)
+        assert [level.dtype for level in t.levels] == [np.dtype(np.int64)] * len(t.levels)
+        assert t.suffix.dtype == np.int64

@@ -1,6 +1,7 @@
 """Regret criterion: per-scenario optima (both paths), reports, and the solver."""
 import random
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from robust_makespan import (
     UncertaintyModel,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
-    build_slack_profile,
     candidate_scenarios,
     erd_schedule,
     evaluate,
@@ -27,6 +27,21 @@ from robust_makespan.oracle import brute_max_regret, brute_min_max_regret
 from robust_makespan.rmq import IntervalMinTable
 
 from conftest import make_instance, random_instance, random_schedule
+
+
+def slack_profile(inst):
+    """The all-lower-bounds profile, per release-sorted position, as Python tuples."""
+    p, r_lo, _ = inst.columns
+    order, rs = regret._release_order(r_lo)
+    comp, slack, idle_before, idle_after = regret._profile_from_sorted(rs, p[order])
+    return SimpleNamespace(
+        order=tuple((order + 1).tolist()),
+        completions=tuple(comp.tolist()),
+        slack=tuple(slack.tolist()),
+        idle_before=tuple(idle_before.tolist()),
+        idle_after=tuple(idle_after.tolist()),
+        base_makespan=int(comp[-1]),
+    )
 
 
 def two_job_instance():
@@ -110,7 +125,7 @@ def test_max_regret_dimension_mismatch():
 
 def test_slack_profile_by_hand():
     inst = make_instance([(3, 0, 6), (1, 1, 1), (2, 5, 5)])
-    prof = build_slack_profile(inst)
+    prof = slack_profile(inst)
     assert prof.order == (1, 2, 3)
     assert prof.completions == (3, 4, 7)
     assert prof.slack == (0, 2, 0)
@@ -121,7 +136,7 @@ def test_slack_profile_by_hand():
 
 def test_slack_profile_zero_releases():
     inst = make_instance([(4, 0, 0), (2, 0, 0), (1, 0, 0)])
-    prof = build_slack_profile(inst)
+    prof = slack_profile(inst)
     assert prof.idle_before == (0, 0, 0)
     assert prof.idle_after == (0, 0, 0)
     assert prof.slack == tuple(
@@ -131,7 +146,7 @@ def test_slack_profile_zero_releases():
 
 def test_slack_profile_single_job():
     inst = make_instance([(2, 5, 9)])
-    prof = build_slack_profile(inst)
+    prof = slack_profile(inst)
     assert prof.completions == (7,)
     assert prof.slack == (0,)
     assert prof.idle_before == (5,)
@@ -142,7 +157,7 @@ def test_slack_profile_recurrences_hold():
     rng = random.Random(3)
     for _ in range(80):
         inst = random_instance(rng, max_n=8)
-        prof = build_slack_profile(inst)
+        prof = slack_profile(inst)
         n = inst.n
         # order sorts by lower release bound with id ties
         lows = [inst.jobs[j - 1].r_lo for j in prof.order]
@@ -191,7 +206,10 @@ def test_fast_agrees_with_naive_small():
     rng = random.Random(4)
     for _ in range(400):
         inst = normalize_u1(random_instance(rng, max_n=7))
-        assert np.array_equal(all_optimal_makespans_fast(inst), all_optimal_makespans_naive(inst))
+        naive = all_optimal_makespans_naive(inst)
+        assert np.array_equal(all_optimal_makespans_fast(inst), naive)
+        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst).scenarios]
+        assert naive.tolist() == literal
 
 
 def test_fast_agrees_with_literal_per_candidate_sort():
@@ -233,7 +251,7 @@ def test_all_optima_never_below_base_makespan():
     rng = random.Random(7)
     for _ in range(80):
         inst = normalize_u1(random_instance(rng))
-        base = build_slack_profile(inst).base_makespan
+        base = slack_profile(inst).base_makespan
         assert all(m >= base for m in all_optimal_makespans_fast(inst))
 
 

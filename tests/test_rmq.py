@@ -7,21 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_makespan.rmq import IntervalMinTable, build
+from robust_makespan.rmq import IntervalMinTable
 
 
 def test_build_levels_by_hand():
-    t = build([5, 2, 7, 1])
+    t = IntervalMinTable([5, 2, 7, 1])
     assert [lv.tolist() for lv in t.levels] == [[5, 2, 7, 1], [2, 1], [1]]
 
 
 def test_build_single_element():
-    t = build([9])
+    t = IntervalMinTable([9])
     assert [lv.tolist() for lv in t.levels] == [[9]]
 
 
 def test_build_constant_vector():
-    t = build([4] * 11)
+    t = IntervalMinTable([4] * 11)
     for level in t.levels:
         assert (level == 4).all()
 
@@ -30,7 +30,7 @@ def test_build_level_recurrence_and_size_bound():
     rng = random.Random(0)
     for n in (1, 2, 3, 7, 8, 9, 64, 100, 257):
         values = [rng.randint(0, 50) for _ in range(n)]
-        t = build(values)
+        t = IntervalMinTable(values)
         total = 0
         for k, level in enumerate(t.levels):
             assert level.size == n >> k
@@ -43,7 +43,7 @@ def test_build_level_recurrence_and_size_bound():
 
 
 def test_range_min_hand_cases():
-    t = build([5, 2, 7, 1])
+    t = IntervalMinTable([5, 2, 7, 1])
     assert t.range_min(1, 4) == 1
     assert t.range_min(2, 3) == 2
     for i, v in enumerate([5, 2, 7, 1], start=1):
@@ -51,7 +51,7 @@ def test_range_min_hand_cases():
 
 
 def test_range_min_rejects_bad_ranges():
-    t = build([5, 2, 7, 1])
+    t = IntervalMinTable([5, 2, 7, 1])
     for lo, hi in ((0, 2), (3, 2), (1, 5), (2, 0)):
         with pytest.raises(ValueError):
             t.range_min(lo, hi)
@@ -65,7 +65,7 @@ def test_range_min_exhaustive_small_lengths():
             list(range(n)),
             list(range(n, 0, -1)),
         ):
-            t = build(values)
+            t = IntervalMinTable(values)
             for lo in range(1, n + 1):
                 for hi in range(lo, n + 1):
                     assert t.range_min(lo, hi) == min(values[lo - 1 : hi])
@@ -76,7 +76,7 @@ def test_walk_step_bound_and_phase_shape():
     for _ in range(40):
         n = rng.randint(2, 1500)
         values = [rng.randint(0, 9) for _ in range(n)]
-        t = build(values)
+        t = IntervalMinTable(values)
         bound = 2 * math.ceil(math.log2(n)) + 2
         for _ in range(50):
             lo = rng.randint(1, n)
@@ -101,7 +101,7 @@ def test_bulk_queries_match_scalar_walk():
     for _ in range(25):
         n = rng.randint(1, 600)
         values = [rng.randint(0, 30) for _ in range(n)]
-        t = build(values)
+        t = IntervalMinTable(values)
         lo = np.array([rng.randint(1, n) for _ in range(80)])
         hi = np.array([rng.randint(0, n) for _ in range(80)])
         out = t.range_min_many(lo, hi)
@@ -113,7 +113,7 @@ def test_bulk_queries_match_scalar_walk():
 
 
 def test_bulk_rejects_out_of_bounds():
-    t = build([1, 2, 3])
+    t = IntervalMinTable([1, 2, 3])
     with pytest.raises(ValueError):
         t.range_min_many(np.array([0]), np.array([2]))
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_bulk_rejects_out_of_bounds():
     data=st.data(),
 )
 def test_range_min_matches_naive_scan(values, data):
-    t = build(values)
+    t = IntervalMinTable(values)
     lo = data.draw(st.integers(1, len(values)))
     hi = data.draw(st.integers(lo, len(values)))
     assert t.range_min(lo, hi) == min(values[lo - 1 : hi])
@@ -154,7 +154,7 @@ def _shortcut_hits(t, lo, hi):
 def _check_every_range(values):
     """range_min_many equals the scalar walk and a naive scan on every range;
     returns the table and the shortcut hits over those ranges."""
-    t = build(values)
+    t = IntervalMinTable(values)
     lo, hi = _all_ranges(len(values))
     out = t.range_min_many(lo, hi)
     for i in range(lo.size):
@@ -164,10 +164,10 @@ def _check_every_range(values):
 
 
 def test_suffix_index_by_hand():
-    t = build([5, 2, 7, 1, 3, 1])
+    t = IntervalMinTable([5, 2, 7, 1, 3, 1])
     assert t.suffix.tolist() == [1, 1, 1, 1, 1, 1]
     assert t.first.tolist() == [3, 3, 3, 3, 5, 5]
-    t = build([4, 9, 2, 8])
+    t = IntervalMinTable([4, 9, 2, 8])
     assert t.suffix.tolist() == [2, 2, 2, 8]
     assert t.first.tolist() == [2, 2, 2, 3]
 
@@ -205,21 +205,21 @@ def test_shortcut_with_int64_extremes():
 
 
 def test_shortcut_single_element_and_unit_ranges():
-    t = build([42])
+    t = IntervalMinTable([42])
     assert t.range_min_many(np.array([1]), np.array([1])).tolist() == [42]
     values = [6, 1, 8, 1, 0, 4]
-    t = build(values)
+    t = IntervalMinTable(values)
     units = np.arange(1, len(values) + 1)
     assert t.range_min_many(units, units).tolist() == values
 
 
 def test_shortcut_leaves_empty_ranges_at_the_sentinel():
-    t = build([6, 1, 8, 1, 0, 4])
+    t = IntervalMinTable([6, 1, 8, 1, 0, 4])
     # starts anywhere, including past either end of the index
     lo = np.array([2, 7, 1, 0, 7, 6, 3])
     hi = np.array([1, 6, 0, -1, 3, 5, 3])
     assert t.range_min_many(lo, hi).tolist() == [_SENTINEL] * 6 + [8]
-    t = build([9])
+    t = IntervalMinTable([9])
     assert t.range_min_many(np.array([2, 1]), np.array([1, 0])).tolist() == [_SENTINEL] * 2
 
 
@@ -227,7 +227,7 @@ def test_shortcut_answers_without_the_block_levels():
     # an ascending vector needs no walk at all: with its levels gone every
     # non-empty range must still come out right
     values = list(range(100, 160))
-    t = build(values)
+    t = IntervalMinTable(values)
     t.levels = []
     lo, hi = _all_ranges(len(values))
     lo = np.concatenate([lo, [5, 61]])
