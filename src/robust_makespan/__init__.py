@@ -29,7 +29,6 @@ from .regret import (
 )
 from .rmq import IntervalMinTable
 from .uncertainty import (
-    CandidateScenarioSet,
     candidate_scenario,
     candidate_scenarios,
     extreme_scenarios,
@@ -40,7 +39,6 @@ from .uncertainty import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateScenarioSet",
     "Instance",
     "IntervalMinTable",
     "Job",

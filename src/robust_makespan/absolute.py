@@ -14,6 +14,7 @@ from .core import (
     Instance,
     Scenario,
     Schedule,
+    _check_covers,
     _completions_and_critical,
     _completions_arrays,
     _sorted_order,
@@ -25,10 +26,7 @@ def _worst_case(schedule: Schedule, instance: Instance) -> tuple[int, int]:
     """(worst-case makespan, critical job id) of a schedule: its makespan when every
     job is released at its trimmed upper bound, and the job that makespan rests on."""
     idx = schedule.indices
-    if idx.size != instance.n:
-        raise ValueError(
-            f"dimension mismatch: instance has {instance.n} jobs, perm has {idx.size}"
-        )
+    _check_covers(instance, idx.size, "perm")
     comp, crit = _completions_and_critical(instance.trimmed_r_hi, instance.columns[0], idx)
     return int(comp[-1]), int(idx[crit - 1]) + 1
 

@@ -6,8 +6,8 @@ Instance files are JSON:
      "uncertainty": {"kind": "U2", "gamma": 2},
      "jobs": [{"id": 1, "p": 2, "r_lo": 0, "r_hi": 4}, ...]}
 
-Instance files are parsed once and their jobs checked in bulk; only a file
-that fails the bulk check is walked job by job to name the offending job.
+Instance files are parsed once and read in one pass per job field; a
+complaint about one job names its position in the file or its id.
 
 Solution files are single-line JSON objects with the criterion, the
 permutation, the objective, the attained worst-case scenario, and (for
@@ -40,7 +40,7 @@ from .core import (
     UncertaintyModel,
     _completions_arrays,
     _erd_makespan_arrays,
-    _int64_array,
+    _int64_column,
     _sorted_order,
     evaluate,
     optimal_makespan,
@@ -91,9 +91,9 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 def load_instance(path: str | Path) -> Instance:
     """Parse an instance file, with positions or job ids in every complaint.
 
-    The jobs are read in bulk: one pass per field, then one vectorized check
-    in `Instance.from_arrays`. Only a file that fails it is walked job by
-    job, to name the first offending job.
+    The jobs are read in one pass per field, each checked by the library's
+    integer checker, sorted by id and handed to `Instance.from_arrays` for
+    one vectorized check of the values.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -119,57 +119,36 @@ def load_instance(path: str | Path) -> Instance:
     if not isinstance(jobs_doc, list) or not jobs_doc:
         raise CliError(f"{path}: 'jobs' must be a non-empty array")
     try:
-        return _bulk_instance(jobs_doc, str(kind), gamma)
-    except (KeyError, TypeError, ValueError):
-        pass
-    return _checked_instance(path, jobs_doc, str(kind), gamma)
-
-
-def _bulk_instance(jobs_doc: list, kind: str, gamma: int) -> Instance:
-    """The instance of valid job objects in any id order; raises on anything else."""
-    ids = _int64_array([job["id"] for job in jobs_doc])
-    if ids is None:
-        raise ValueError("job ids must be integers")
-    columns = [[job[name] for job in jobs_doc] for name in ("p", "r_lo", "r_hi")]
-    expected = np.arange(1, ids.size + 1)
-    if not np.array_equal(ids, expected):
-        order, sorted_ids = _sorted_order(ids)
-        if not np.array_equal(sorted_ids, expected):
-            raise ValueError("job ids must be 1..n")
-        order = order.tolist()
-        columns = [[values[k] for k in order] for values in columns]
-    return Instance.from_arrays(*columns, UncertaintyModel(kind, gamma))
-
-
-def _checked_instance(path: str | Path, jobs_doc: list, kind: str, gamma: int) -> Instance:
-    """Build the instance job by job and raise CliError at the first problem found."""
-    jobs = []
-    for k, job_doc in enumerate(jobs_doc):
-        where = f"{path}: jobs[{k}]"
-        if not isinstance(job_doc, dict):
-            raise CliError(f"{where}: must be an object")
-        jid = _int_field(job_doc, "id", where)
-        try:
-            jobs.append(
-                Job(
-                    jid,
-                    _int_field(job_doc, "p", where),
-                    _int_field(job_doc, "r_lo", where),
-                    _int_field(job_doc, "r_hi", where),
+        ids, *columns = [_job_column(path, jobs_doc, name) for name in ("id", "p", "r_lo", "r_hi")]
+        expected = np.arange(1, ids.size + 1)
+        if not np.array_equal(ids, expected):
+            order, ids = _sorted_order(ids)
+            repeated = np.flatnonzero(ids[1:] == ids[:-1])
+            if repeated.size:
+                raise CliError(f"{path}: duplicate job id {ids[repeated[0]]}")
+            if not np.array_equal(ids, expected):
+                i = int(np.flatnonzero(ids != expected)[0])
+                raise CliError(
+                    f"{path}: job ids must be 1..n; in id order, position {i + 1} holds id {ids[i]}"
                 )
-            )
-        except ValueError as exc:
-            raise CliError(f"{where}: {exc}") from exc
-    jobs.sort(key=lambda job: job.id)
-    seen_ids = set()
-    for job in jobs:
-        if job.id in seen_ids:
-            raise CliError(f"{path}: duplicate job id {job.id}")
-        seen_ids.add(job.id)
-    try:
-        return Instance(tuple(jobs), UncertaintyModel(kind, gamma))
+            columns = [column[order] for column in columns]
+        return Instance.from_arrays(*columns, UncertaintyModel(str(kind), gamma))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _job_column(path: str | Path, jobs_doc: list, name: str) -> np.ndarray:
+    """Field `name` of every job as int64; CliError at the first job that is not an
+    object or lacks the field, ValueError at the first value that is not an int64."""
+    try:
+        values = [job[name] for job in jobs_doc]
+    except (KeyError, TypeError):
+        k, job = next((k, job) for k, job in enumerate(jobs_doc)
+                      if not isinstance(job, dict) or name not in job)
+        if not isinstance(job, dict):
+            raise CliError(f"{path}: jobs[{k}]: must be an object") from None
+        raise CliError(f"{path}: jobs[{k}]: missing field {name!r}") from None
+    return _int64_column(values, lambda k: f"jobs[{k}]: field {name!r}")
 
 
 def dump_instance(instance: Instance) -> str:

@@ -35,12 +35,19 @@ class Job:
     r_hi: int
 
     def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError(f"job {self.id}: processing time must be positive, got {self.p}")
-        if not 0 <= self.r_lo <= self.r_hi:
+        try:
+            if self.p <= 0:
+                raise ValueError(f"job {self.id}: processing time must be positive, got {self.p}")
+            if not 0 <= self.r_lo <= self.r_hi:
+                raise ValueError(
+                    f"job {self.id}: release interval [{self.r_lo}, {self.r_hi}] is invalid"
+                )
+        except TypeError:  # a field that does not compare with integers
+            name = next(name for name in ("p", "r_lo", "r_hi")
+                        if not _is_integer(getattr(self, name)))
             raise ValueError(
-                f"job {self.id}: release interval [{self.r_lo}, {self.r_hi}] is invalid"
-            )
+                f"job {self.id}: field {name!r} must be an integer, got {getattr(self, name)!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -68,52 +75,49 @@ def _is_integer(value) -> bool:
     )
 
 
-def _first_non_integer(values) -> int | None:
-    """Index of the first entry that is not an integer, or None; one type scan when all are."""
-    if set(map(type, values)) <= {int}:
-        return None
-    return next((k for k, v in enumerate(values) if not _is_integer(v)), None)
+def _as_tuple(values, name: str) -> tuple:
+    """tuple(values), or ValueError when `values` is not iterable (a lone number, say)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
 
 
-def _int64_array(values) -> np.ndarray | None:
-    """Exact int64 array of a list or tuple of integers, or None if an entry is not one.
+def _int64_column(values, describe) -> np.ndarray:
+    """Exact int64 array of a list or tuple of integers; ValueError naming the first bad
+    entry via describe(k) otherwise.
 
     One C pass: array('q') reads every entry through __index__, so floats and
     other non-integers fail, and so do values outside the 64-bit range.
     Bools convert silently, but only to 0 or 1, so only those entries are
-    type-checked.
+    type-checked. Entries are scanned one by one only after the pass fails.
     """
     try:
         arr = np.frombuffer(array("q", values), dtype=np.int64)
     except (TypeError, OverflowError):
-        return None
-    if any(isinstance(values[k], bool) for k in (arr <= 1).nonzero()[0].tolist()):
-        return None
-    return arr
-
-
-def _int64_column(values, describe) -> np.ndarray:
-    """`_int64_array` of `values`, or ValueError naming the first bad entry via describe(k)."""
-    arr = _int64_array(values)
-    if arr is None:
-        k = _first_non_integer(values)
+        k = next(k for k, v in enumerate(values)
+                 if not _is_integer(v) or not -MAX_TIME - 1 <= v <= MAX_TIME)
+    else:
+        k = next((k for k in (arr <= 1).nonzero()[0].tolist() if isinstance(values[k], bool)),
+                 None)
         if k is None:
-            raise ValueError("time data too large: a value exceeds the 64-bit range")
-        raise ValueError(f"{describe(k)} must be an integer, got {values[k]!r}")
-    return arr
+            return arr
+    if _is_integer(values[k]):
+        raise ValueError(f"{describe(k)} exceeds the 64-bit range, got {values[k]}")
+    raise ValueError(f"{describe(k)} must be an integer, got {values[k]!r}")
 
 
 def _array_column(values, name: str) -> np.ndarray:
     """A one-dimensional integer array or sequence of integers as a new int64 array."""
     if not isinstance(values, np.ndarray) or values.dtype == object:
-        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        values = values.tolist() if isinstance(values, np.ndarray) else _as_tuple(values, name)
         return _int64_column(values, lambda k: f"{name}[{k}]")
     if values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
     if values.dtype.kind == "u" and values.size and int(values.max()) > MAX_TIME:
-        raise ValueError("time data too large: a value exceeds the 64-bit range")
+        raise ValueError(f"a value of {name} exceeds the 64-bit range")
     return values.astype(np.int64)
 
 
@@ -148,11 +152,13 @@ class Instance:
             _int64_column(values, lambda k, name=name: f"job {jobs[k].id}: field {name!r}")
             for name, values in fields.items()
         ]
-        id_array = _int64_array(ids)
-        if id_array is None or not (id_array == np.arange(1, len(ids) + 1)).all():
-            k = _first_non_integer(ids)
-            if k is not None:
-                raise ValueError(f"job {ids[k]!r}: field 'id' must be an integer")
+        try:
+            id_array = _int64_column(ids, lambda k: f"job {ids[k]!r}: field 'id'")
+        except ValueError:
+            if not all(map(_is_integer, ids)):
+                raise
+            id_array = None  # an integer id past 64 bits
+        if id_array is None or not np.array_equal(id_array, np.arange(1, len(ids) + 1)):
             i = next(i for i, jid in enumerate(ids, start=1) if jid != i)
             raise ValueError(
                 f"jobs must be listed in id order 1..n; position {i} holds id {ids[i - 1]}"
@@ -267,7 +273,7 @@ class Scenario:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        releases = tuple(self.releases)
+        releases = _as_tuple(self.releases, "releases")
         object.__setattr__(self, "releases", releases)
         arr = _int64_column(releases, lambda k: f"release of job {k + 1}")
         if arr.size and arr.min() < 0:
@@ -289,13 +295,10 @@ class Schedule:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm = tuple(self.perm)
+        perm = _as_tuple(self.perm, "perm")
         object.__setattr__(self, "perm", perm)
-        k = _first_non_integer(perm)
-        if k is not None:
-            raise ValueError(f"perm entries must be integer job ids, got {perm[k]!r}")
-        idx = _int64_array(perm)
-        if idx is None or not np.array_equal(np.sort(idx), np.arange(1, len(perm) + 1)):
+        idx = _int64_column(perm, lambda k: f"perm[{k}]")
+        if not np.array_equal(np.sort(idx), np.arange(1, len(perm) + 1)):
             raise ValueError("perm must be a permutation of job ids 1..n")
         idx = idx - 1
         idx.setflags(write=False)
@@ -368,6 +371,12 @@ def _stable_argsort(values: np.ndarray) -> np.ndarray:
     return _sorted_order(values)[0]
 
 
+def _check_covers(instance: Instance, size: int, what: str) -> None:
+    """ValueError unless a schedule or scenario of `size` entries covers the instance's jobs."""
+    if size != instance.n:
+        raise ValueError(f"dimension mismatch: instance has {instance.n} jobs, {what} has {size}")
+
+
 def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None = None
               ) -> np.ndarray:
     """The scenario's int64 releases, after the checks every evaluator shares.
@@ -376,13 +385,10 @@ def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None 
     latest possible completion, max(releases) + sum(p), must fit in int64;
     sum(p) is exact in int64 because the instance bound holds.
     """
-    n = instance.n
     releases = scenario.array
-    if releases.size != n or (schedule is not None and len(schedule.perm) != n):
-        perm = "" if schedule is None else f", perm has {len(schedule.perm)}"
-        raise ValueError(
-            f"dimension mismatch: instance has {n} jobs{perm}, scenario has {releases.size}"
-        )
+    _check_covers(instance, releases.size, "scenario")
+    if schedule is not None:
+        _check_covers(instance, schedule.indices.size, "perm")
     if int(releases.max()) + int(instance.columns[0].sum()) > MAX_TIME:
         raise ValueError("time data too large: worst-case completion exceeds 64-bit range")
     return releases

@@ -27,6 +27,7 @@ from .core import (
     Instance,
     Scenario,
     Schedule,
+    _check_covers,
     _completions_arrays,
     _sorted_order,
     _stable_argsort,
@@ -262,10 +263,7 @@ def max_regret(schedule: Schedule, instance: Instance) -> RegretReport:
     """
     p, r_lo, _ = instance.columns
     r_hi = instance.trimmed_r_hi
-    if len(schedule.perm) != instance.n:
-        raise ValueError(
-            f"dimension mismatch: instance has {instance.n} jobs, perm has {len(schedule.perm)}"
-        )
+    _check_covers(instance, schedule.indices.size, "perm")
     return _regret_report(schedule, p, r_lo, r_hi, _all_optima_fast_arrays(p, r_lo, r_hi))
 
 

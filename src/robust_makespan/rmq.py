@@ -21,16 +21,20 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _array_column, _is_integer
+
 _EMPTY_SENTINEL = np.iinfo(np.int64).max
 
 
 class IntervalMinTable:
-    """Immutable block-minima table over an int64 value vector."""
+    """Immutable block-minima table over an int64 value vector.
+
+    Takes integers only, as `Instance.from_arrays` takes a column: floats,
+    bools and values outside int64 raise ValueError.
+    """
 
     def __init__(self, values: Sequence[int] | np.ndarray):
-        arr = np.array(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("values must be one-dimensional")
+        arr = _array_column(values, "values")
         self.n = int(arr.size)
         # levels[k][i] = min(values[i * 2**k : (i + 1) * 2**k]); partial tail
         # blocks are not stored, the query walk never needs them
@@ -56,10 +60,12 @@ class IntervalMinTable:
         Exposed for instrumentation: callers can check the O(log n) block
         count and the grow-then-shrink shape of the block lengths.
         """
+        if not (_is_integer(lo) and _is_integer(hi)):
+            raise ValueError(f"range bounds must be integers, got [{lo!r}, {hi!r}]")
         if not 1 <= lo <= hi <= self.n:
             raise ValueError(f"range [{lo}, {hi}] out of bounds for n={self.n}")
-        j = lo - 1
-        u = hi
+        j = int(lo) - 1
+        u = int(hi)
         k = 0
         blocks: list[tuple[int, int]] = []
         # growing phase: widen the block while it stays aligned and fits
@@ -94,9 +100,10 @@ class IntervalMinTable:
         non-empty range consumes exactly the same aligned blocks as the
         per-query walk, but level-synchronously across those queries (both
         ends move inward). Empty ranges (lo > hi) yield the int64 maximum.
+        `lo` and `hi` are one-dimensional and hold integers within int64.
         """
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
+        lo = _array_column(lo, "lo")
+        hi = _array_column(hi, "hi")
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same shape")
         out = np.full(lo.shape, _EMPTY_SENTINEL, dtype=np.int64)

@@ -1,22 +1,9 @@
 """Uncertainty-set semantics: budget feasibility, interval trimming, distinguished scenarios."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import MAX_TIME, Instance, Scenario, _releases
-
-
-@dataclass(frozen=True)
-class CandidateScenarioSet:
-    """The n single-deviation scenarios: number j raises only job j to its trimmed upper bound.
-
-    For a trimmed instance this finite set is enough to certify worst-case
-    regret for every schedule.
-    """
-
-    scenarios: tuple[Scenario, ...]
+from .core import MAX_TIME, Instance, Scenario, _is_integer, _releases
 
 
 def is_feasible(scenario: Scenario, instance: Instance) -> bool:
@@ -57,6 +44,8 @@ def normalize_u1(instance: Instance) -> Instance:
 def candidate_scenario(instance: Instance, jid: int) -> Scenario:
     """The scenario with job `jid` at its trimmed upper bound and every other job at its
     lower bound: the candidate that `RegretReport.worst_job` names, always feasible."""
+    if not _is_integer(jid):
+        raise ValueError(f"job id must be an integer, got {jid!r}")
     if not 1 <= jid <= instance.n:
         raise ValueError(f"no job with id {jid}")
     return Scenario(tuple(_single_deviation(instance, jid).tolist()))
@@ -70,15 +59,14 @@ def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
     return releases
 
 
-def candidate_scenarios(instance: Instance) -> CandidateScenarioSet:
+def candidate_scenarios(instance: Instance) -> tuple[Scenario, ...]:
     """All n single-deviation scenarios (`candidate_scenario`), in job-id order.
 
-    Materializes n vectors of length n; meant for small and mid-size
-    instances (the solvers never build this set explicitly).
+    For a trimmed instance this finite set is enough to certify worst-case
+    regret for every schedule. Materializes n vectors of length n; meant for
+    small and mid-size instances (the solvers never build this set explicitly).
     """
-    return CandidateScenarioSet(
-        tuple(candidate_scenario(instance, jid) for jid in range(1, instance.n + 1))
-    )
+    return tuple(candidate_scenario(instance, jid) for jid in range(1, instance.n + 1))
 
 
 def extreme_scenarios(instance: Instance) -> tuple[Scenario, Scenario]:

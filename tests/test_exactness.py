@@ -4,6 +4,7 @@ Every expected value here comes from Python-int arithmetic: the brute-force
 oracles (which evaluate in Python integers at these sizes) or the small
 reference recursion below.
 """
+import json
 import random
 from itertools import permutations
 
@@ -36,6 +37,7 @@ from robust_makespan import (
     solve_robust_regret,
     worst_case_scenario_absolute,
 )
+from robust_makespan.cli import CliError, load_instance
 from robust_makespan.core import _PACKED_MIN, MAX_TIME
 from robust_makespan.oracle import (
     brute_max_regret,
@@ -200,7 +202,7 @@ def test_solvers_exact_at_large_magnitudes(data):
 def test_candidate_scenarios_raise_to_trimmed_bounds():
     inst = make_instance([(1, 0, 10), (5, 0, 0)], kind="U1", gamma=2)
     assert candidate_scenario(inst, 1).releases == (2, 0)
-    assert [sc.releases for sc in candidate_scenarios(inst).scenarios] == [(2, 0), (0, 0)]
+    assert [sc.releases for sc in candidate_scenarios(inst)] == [(2, 0), (0, 0)]
     rng = random.Random(12)
     untrimmed = 0
     for _ in range(120):
@@ -211,7 +213,7 @@ def test_candidate_scenarios_raise_to_trimmed_bounds():
         assert is_feasible(worst, inst)
         assert regret_of(report.schedule, worst, inst) == report.regret
         other = max_regret(random_schedule(rng, inst.n), inst)
-        scenarios = candidate_scenarios(inst).scenarios
+        scenarios = candidate_scenarios(inst)
         assert all(is_feasible(sc, inst) for sc in scenarios)
         assert [regret_of(other.schedule, sc, inst) for sc in scenarios] == list(
             other.per_candidate
@@ -344,3 +346,69 @@ def test_range_min_table_stores_int64_for_every_input():
         t = IntervalMinTable(values)
         assert [level.dtype for level in t.levels] == [np.dtype(np.int64)] * len(t.levels)
         assert t.suffix.dtype == np.int64
+
+
+# a float, a bool, a string and an integer past 64 bits; gamma may be any
+# integer >= 0, so UncertaintyModel gets only the first three
+_NOT_INT64 = [1.5, True, "3", 2**64]
+_MODEL = UncertaintyModel("U2", 1)
+_INST = make_instance([(1, 0, 3), (2, 1, 4)])
+_TABLE = IntervalMinTable([5, 2, 7])
+_INTEGER_ENTRY_POINTS = {
+    "Instance": lambda v: Instance((Job(1, 1, 0, 0), Job(2, v, 0, 0)), _MODEL),
+    "Instance.from_arrays": lambda v: Instance.from_arrays([1, 1], [0, v], [0, 3], _MODEL),
+    "Scenario": lambda v: Scenario((0, v)),
+    "Schedule": lambda v: Schedule((1, v)),
+    "UncertaintyModel": lambda v: UncertaintyModel("U1", v),
+    "candidate_scenario": lambda v: candidate_scenario(_INST, v),
+    "IntervalMinTable": lambda v: IntervalMinTable([5, v, 7]),
+    "range_min_many": lambda v: _TABLE.range_min_many([1, 1], [2, v]),
+    "range_min": lambda v: _TABLE.range_min(v, 2),
+    "consumed_blocks": lambda v: _TABLE.consumed_blocks(1, v),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    pytest.param(entry, value, id=f"{entry}-{value!r}")
+    for entry in _INTEGER_ENTRY_POINTS for value in _NOT_INT64
+    if not (entry == "UncertaintyModel" and value == 2**64)
+])
+def test_integer_entry_points_refuse_non_int64(entry, value):
+    with pytest.raises(ValueError):
+        _INTEGER_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("value", _NOT_INT64, ids=repr)
+def test_instance_file_job_fields_refuse_non_int64(tmp_path, value):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "version": 1, "uncertainty": {"kind": "U2", "gamma": 1},
+        "jobs": [{"id": 1, "p": 2, "r_lo": 0, "r_hi": 4},
+                 {"id": 2, "p": value, "r_lo": 0, "r_hi": 0}],
+    }))
+    with pytest.raises(CliError, match=r"jobs\[1\]: field 'p'"):
+        load_instance(path)
+
+
+def test_unsigned_query_bounds_past_int64_do_not_wrap():
+    # 2**64 - 1 as int64 is -1, which would read as an empty range
+    with pytest.raises(ValueError, match="64-bit"):
+        _TABLE.range_min_many(np.array([1], np.uint64), np.array([2**64 - 1], np.uint64))
+    assert _TABLE.range_min_many(np.array([1], np.uint64), np.array([3], np.uint64)).tolist() == [2]
+
+
+def test_lone_numbers_and_strings_raise_value_error():
+    calls = [
+        lambda: Job(1, "2", 0, 1),
+        lambda: Job(1, 2, 0, None),
+        lambda: Instance.from_arrays(1, 0, 0, _MODEL),
+        lambda: Scenario(5),
+        lambda: Schedule(5),
+        lambda: IntervalMinTable(5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    # a fractional bound once surfaced as numpy's "negative shift count"
+    with pytest.raises(ValueError, match="must be integers"):
+        _TABLE.consumed_blocks(1, 2.5)

@@ -57,7 +57,7 @@ def test_regret_zero_for_scenario_optimal_order():
     rng = random.Random(0)
     for _ in range(40):
         inst = random_instance(rng)
-        sc = candidate_scenarios(inst).scenarios[rng.randrange(inst.n)]
+        sc = candidate_scenarios(inst)[rng.randrange(inst.n)]
         assert regret_of(erd_schedule(sc, inst), sc, inst) == 0
 
 
@@ -97,7 +97,7 @@ def test_max_regret_matches_candidate_by_candidate_evaluation():
         sched = random_schedule(rng, inst.n)
         report = max_regret(sched, inst)
         direct = tuple(
-            regret_of(sched, sc, inst) for sc in candidate_scenarios(inst).scenarios
+            regret_of(sched, sc, inst) for sc in candidate_scenarios(inst)
         )
         assert report.per_candidate == direct
         assert report.regret == max(direct)
@@ -208,7 +208,7 @@ def test_fast_agrees_with_naive_small():
         inst = normalize_u1(random_instance(rng, max_n=7))
         naive = all_optimal_makespans_naive(inst)
         assert np.array_equal(all_optimal_makespans_fast(inst), naive)
-        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst).scenarios]
+        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst)]
         assert naive.tolist() == literal
 
 
@@ -223,7 +223,7 @@ def test_fast_agrees_with_literal_per_candidate_sort():
         )
         fast = all_optimal_makespans_fast(inst)
         naive = all_optimal_makespans_naive(inst, workers=2)
-        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst).scenarios]
+        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst)]
         assert fast.tolist() == literal
         assert naive.tolist() == literal
 
@@ -243,7 +243,7 @@ def test_all_optima_tie_stress():
         )
         fast = all_optimal_makespans_fast(inst)
         assert np.array_equal(fast, all_optimal_makespans_naive(inst))
-        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst).scenarios]
+        literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst)]
         assert fast.tolist() == literal
 
 

@@ -2,6 +2,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from robust_makespan import (
     Scenario,
     Schedule,
@@ -80,29 +82,40 @@ def test_normalize_preserves_worst_case_makespans():
 def test_candidate_scenarios_by_hand():
     inst = make_instance([(1, 1, 4), (1, 2, 2)])
     got = candidate_scenarios(inst)
-    assert got.scenarios[0].releases == (4, 2)
-    assert got.scenarios[1].releases == (1, 2)
+    assert got[0].releases == (4, 2)
+    assert got[1].releases == (1, 2)
     assert candidate_scenario(inst, 1).releases == (4, 2)
+
+
+def test_candidate_scenario_rejects_ids_outside_1_to_n():
+    inst = make_instance([(1, 1, 4), (1, 2, 2)])
+    for jid in (0, 3, -1, 2**64):
+        with pytest.raises(ValueError, match="no job with id"):
+            candidate_scenario(inst, jid)
+    # True == 1 and 1.0 == 1, but neither is a job id
+    for jid in (True, 1.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            candidate_scenario(inst, jid)
 
 
 def test_candidate_scenarios_degenerate_intervals_collapse():
     inst = make_instance([(1, 3, 3), (2, 1, 1)])
     low, high = extreme_scenarios(inst)
     assert low == high
-    for sc in candidate_scenarios(inst).scenarios:
+    for sc in candidate_scenarios(inst):
         assert sc == low
 
 
 def test_candidate_scenarios_single_job():
     inst = make_instance([(2, 0, 7)])
-    assert candidate_scenarios(inst).scenarios[0].releases == (7,)
+    assert candidate_scenarios(inst)[0].releases == (7,)
 
 
 def test_candidates_feasible_after_trimming():
     rng = random.Random(3)
     for _ in range(60):
         inst = normalize_u1(random_instance(rng))
-        for sc in candidate_scenarios(inst).scenarios:
+        for sc in candidate_scenarios(inst):
             assert is_feasible(sc, inst)
 
 
