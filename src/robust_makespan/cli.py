@@ -6,22 +6,31 @@ Instance files are JSON:
      "uncertainty": {"kind": "U2", "gamma": 2},
      "jobs": [{"id": 1, "p": 2, "r_lo": 0, "r_hi": 4}, ...]}
 
-Instance files are parsed once and read in one pass per job field; a
-complaint about one job names its position in the file or its id.
+A file in exactly the layout `generate` writes (`dump_instance`) is read
+without a JSON parse: one numpy pass pulls its numbers, and the file is
+rendered again and must match byte for byte. Any other file is parsed as
+JSON and read in one pass per job field, with the same results and the same
+messages; a complaint about one job names its position in the file or its
+id.
 
 Solution files are single-line JSON objects with the criterion, the
 permutation, the objective, the attained worst-case scenario, and (for
-regret) the per-candidate values.
+regret) the per-candidate values, with the bytes `json.dumps` would write.
+One numpy decimal renderer (`_render_rows`) writes every integer column of
+both file kinds.
 Exit status: 0 success, 1 usage or parse error, 2 verification found a
 counterexample.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
+import re
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -91,13 +100,61 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 def load_instance(path: str | Path) -> Instance:
     """Parse an instance file, with positions or job ids in every complaint.
 
-    The jobs are read in one pass per field, each checked by the library's
-    integer checker, sorted by id and handed to `Instance.from_arrays` for
-    one vectorized check of the values.
+    A file in exactly the layout `dump_instance` writes, which is every file
+    `generate` writes, is read without a JSON parse (`_generated_columns`);
+    any other file goes through the JSON reader (`_json_columns`). Both hand
+    the columns, in id order, to `Instance.from_arrays` for one vectorized
+    check of the values, so a file gives the same instance, or the same
+    complaint, whichever reader takes it.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    try:
+        kind, gamma, columns = _generated_columns(raw) or _json_columns(path, raw)
+        return Instance.from_arrays(*columns, UncertaintyModel(kind, gamma))
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
+    """(kind, gamma, [p, r_lo, r_hi]) of a file in exactly `dump_instance`'s layout, else None.
+
+    After a check of the header, one np.fromstring pass parses every number
+    of the job rows, and the file is rendered again from the result and
+    compared with the input: only a byte-identical file is accepted. Signs,
+    leading zeros, floats, other spacing or key order, CRLF line ends and
+    values past int64 all render differently, so every text the JSON reader
+    could read in another way falls through to it.
+    """
+    head = _INSTANCE_HEAD.match(raw)
+    if head is None or not raw.endswith(_INSTANCE_TAIL):
+        return None
+    body = raw[head.end():len(raw) - len(_INSTANCE_TAIL)].translate(_DIGITS_ONLY)
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if not values.size or values.size % 4:
+        return None
+    _, *columns = values.reshape(-1, 4).T  # the ids are checked by the comparison
+    kind, gamma = head[1].decode(), int(head[2])
+    at = 0
+    for chunk in _instance_chunks(kind, gamma, *columns):
+        if not raw.startswith(chunk, at):
+            return None
+        at += len(chunk)
+    return (kind, gamma, columns) if at == len(raw) else None
+
+
+def _json_columns(path: str | Path, raw: bytes) -> tuple[str, int, list[np.ndarray]]:
+    """(kind, gamma, [p, r_lo, r_hi]) of any instance file, through a JSON parse.
+
+    The text is decoded as `Path.read_text` would. The jobs are read in one
+    pass per field, each checked by the library's integer checker, and
+    sorted by id.
+    """
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -118,23 +175,20 @@ def load_instance(path: str | Path) -> Instance:
     jobs_doc = _field(doc, "jobs", str(path))
     if not isinstance(jobs_doc, list) or not jobs_doc:
         raise CliError(f"{path}: 'jobs' must be a non-empty array")
-    try:
-        ids, *columns = [_job_column(path, jobs_doc, name) for name in ("id", "p", "r_lo", "r_hi")]
-        expected = np.arange(1, ids.size + 1)
+    ids, *columns = [_job_column(path, jobs_doc, name) for name in ("id", "p", "r_lo", "r_hi")]
+    expected = np.arange(1, ids.size + 1)
+    if not np.array_equal(ids, expected):
+        order, ids = _sorted_order(ids)
+        repeated = np.flatnonzero(ids[1:] == ids[:-1])
+        if repeated.size:
+            raise CliError(f"{path}: duplicate job id {ids[repeated[0]]}")
         if not np.array_equal(ids, expected):
-            order, ids = _sorted_order(ids)
-            repeated = np.flatnonzero(ids[1:] == ids[:-1])
-            if repeated.size:
-                raise CliError(f"{path}: duplicate job id {ids[repeated[0]]}")
-            if not np.array_equal(ids, expected):
-                i = int(np.flatnonzero(ids != expected)[0])
-                raise CliError(
-                    f"{path}: job ids must be 1..n; in id order, position {i + 1} holds id {ids[i]}"
-                )
-            columns = [column[order] for column in columns]
-        return Instance.from_arrays(*columns, UncertaintyModel(str(kind), gamma))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+            i = int(np.flatnonzero(ids != expected)[0])
+            raise CliError(
+                f"{path}: job ids must be 1..n; in id order, position {i + 1} holds id {ids[i]}"
+            )
+        columns = [column[order] for column in columns]
+    return str(kind), gamma, columns
 
 
 def _job_column(path: str | Path, jobs_doc: list, name: str) -> np.ndarray:
@@ -151,25 +205,99 @@ def _job_column(path: str | Path, jobs_doc: list, name: str) -> np.ndarray:
     return _int64_column(values, lambda k: f"jobs[{k}]: field {name!r}")
 
 
+_INSTANCE_HEAD = re.compile(
+    rb'\{\n  "version": %d,\n  "uncertainty": \{"kind": "(U[12])", "gamma": ([0-9]{1,19})\},\n'
+    rb'  "jobs": \[\n' % INSTANCE_VERSION
+)
+_INSTANCE_ROW = (b'    {"id": ', b', "p": ', b', "r_lo": ', b', "r_hi": ', b"}")
+_INSTANCE_TAIL = b"\n  ]\n}\n"
+# every byte but an ASCII digit becomes a space, the separator np.fromstring reads
+_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+
+
+def _instance_chunks(kind: str, gamma: int, p: np.ndarray, r_lo: np.ndarray,
+                     r_hi: np.ndarray) -> Iterator[bytes]:
+    """The bytes of `dump_instance`, in chunks: a header, one line per job, a tail."""
+    yield (f'{{\n  "version": {INSTANCE_VERSION},\n'
+           f'  "uncertainty": {{"kind": "{kind}", "gamma": {gamma}}},\n  "jobs": [\n').encode()
+    yield from _render_rows(b",\n", _INSTANCE_ROW, (np.arange(1, p.size + 1), p, r_lo, r_hi))
+    yield _INSTANCE_TAIL
+
+
 def dump_instance(instance: Instance) -> str:
     """Serialize an instance to the instance format (deterministic bytes)."""
-    kind, gamma = instance.uncertainty.kind, instance.uncertainty.gamma
-    p, r_lo, r_hi = (c.tolist() for c in instance.columns)
-    lines = [
-        "{",
-        f'  "version": {INSTANCE_VERSION},',
-        f'  "uncertainty": {{"kind": "{kind}", "gamma": {gamma}}},',
-        '  "jobs": [',
-    ]
-    last = len(p) - 1
-    for i in range(len(p)):
-        comma = "," if i != last else ""
-        lines.append(
-            f'    {{"id": {i + 1}, "p": {p[i]}, "r_lo": {r_lo[i]}, "r_hi": {r_hi[i]}}}{comma}'
-        )
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    model = instance.uncertainty
+    return b"".join(_instance_chunks(model.kind, model.gamma, *instance.columns)).decode()
+
+
+# rows per chunk of `_render_rows`: the chunk's byte template and int64
+# temporaries (under 2 MB for instance rows) stay in L2
+_ROWS = 2**14
+
+
+def _digit_words() -> np.ndarray:
+    """The four decimal digits of each of 0..9999 as one uint32 word of ASCII bytes.
+
+    Three blocks of 10**4 words: zero-padded ("0042"); NUL-padded
+    ("\\0\\042") with 0 as four NULs, for the highest group of a value and
+    its empty groups above; and NUL-padded with 0 as "\\0\\0\\00", for a
+    value below 10**4.
+    """
+    # small dtypes: int64 temporaries added 2 MB to the peak RSS of importing the CLI
+    v = np.arange(10**4, dtype=np.uint16)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1).astype(np.uint8)
+    digits += ord("0")
+    width = 1 + (v >= 10) + (v >= 100) + (v >= 1000)
+    unpadded = np.where(np.arange(4) >= 4 - width[:, None], digits, 0)
+    highest = unpadded.copy()
+    highest[0] = 0
+    return np.concatenate([digits, highest, unpadded]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _render_rows(sep: bytes, literals: tuple[bytes, ...],
+                 columns: tuple[np.ndarray, ...]) -> Iterator[bytes]:
+    """Decimal text of aligned non-negative int64 columns, in chunks of `_ROWS` rows.
+
+    Row i is literals[0] columns[0][i] literals[1] ... columns[-1][i]
+    literals[-1], written as f-strings or json.dumps write integers; rows are
+    joined by sep, and the chunks concatenate to the whole text. Literals
+    hold no NUL byte.
+
+    Each row fills a fixed byte template: every column gets as many groups of
+    four digits as its largest value needs, at word-aligned offsets, and each
+    group takes one divmod by 10**4 and one gather from `_DIGIT_WORDS`.
+    Leading zeros and alignment padding are NUL bytes, which bytes.translate
+    deletes.
+    """
+    n = columns[0].size
+    if not n:
+        return
+    groups = []
+    for column in columns:
+        if column.min() < 0:
+            raise ValueError("decimal rows need non-negative values")
+        groups.append(-(-len(str(column.max())) // 4))
+    template, starts = bytearray(), []
+    for literal, count in zip((sep + literals[0], *literals[1:]), [*groups, 0]):
+        template += literal + bytes(-(len(template) + len(literal)) % 4)
+        starts.append(len(template) // 4)
+        template += bytes(4 * count)
+    rows = np.empty((min(n, _ROWS), len(template)), np.uint8)
+    rows[:] = np.frombuffer(template, np.uint8)
+    words = rows.view(np.uint32)
+    for lo in range(0, n, _ROWS):
+        size = min(_ROWS, n - lo)
+        for column, start, count in zip(columns, starts, groups):
+            q = column[lo:lo + size]
+            for k in range(count):  # from the units group up
+                q, r = np.divmod(q, 10**4)
+                r += (q == 0) * (2 * 10**4 if k == 0 else 10**4)
+                words[:size, start + count - 1 - k] = _DIGIT_WORDS[r]
+        text = rows[:size].tobytes().translate(None, b"\0")
+        yield text[len(sep):] if lo == 0 else text
 
 
 def solve_to_payload(criterion: str, instance: Instance) -> dict:
@@ -178,7 +306,9 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
     The worst-case scenario raises one job (the critical one for absolute,
     the worst candidate for regret) to its trimmed upper bound. Before
     returning, the scenario is re-evaluated on the arrays and must attain
-    the objective.
+    the objective. The permutation, the scenario's releases and the
+    per-candidate values are int64 arrays, which `_solution_text` writes
+    as JSON lists.
     """
     p = instance.columns[0]
     if criterion == "absolute":
@@ -199,13 +329,29 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
         )
     payload = {
         "criterion": criterion,
-        "permutation": list(schedule.perm),
+        "permutation": idx + 1,
         "objective": objective,
-        "worst_case_scenario": {"releases": releases.tolist(), "candidate_job": jid},
+        "worst_case_scenario": {"releases": releases, "candidate_job": jid},
     }
     if criterion == "regret":
-        payload["per_candidate"] = list(report.per_candidate)
+        payload["per_candidate"] = np.fromiter(report.per_candidate, np.int64, instance.n)
     return payload
+
+
+def _solution_text(payload: dict) -> str:
+    """json.dumps(payload) + "\\n", with each int64 array in `payload` written as
+    the JSON list of its values by `_render_rows`."""
+    arrays = []
+
+    def hole(array: np.ndarray) -> str:
+        arrays.append(array)
+        return "\0"  # json.dumps writes it as "\u0000"
+
+    head, *tails = (json.dumps(payload, default=hole) + "\n").encode().split(b'"\\u0000"')
+    chunks = [head]
+    for array, tail in zip(arrays, tails):
+        chunks += [b"[", *_render_rows(b", ", (b"", b""), (array,)), b"]", tail]
+    return b"".join(chunks).decode()
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +367,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
-    payload = solve_to_payload(args.criterion, instance)
-    text = json.dumps(payload) + "\n"
+    text = _solution_text(solve_to_payload(args.criterion, instance))
     if args.output:
         _write_text(args.output, text)
     else:
@@ -376,38 +521,44 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
 
 
 def _verify_shifted(instance: Instance, counts: dict) -> None:
-    """Check the solvers on a copy with every release moved up by 2**62; raise on mismatch.
+    """Check the solvers on copies with every release moved up; raise on mismatch.
 
-    Shifting every release by the same amount shifts every makespan by it,
-    so both solvers must return the same orders, the regret report must be
-    unchanged and every optimum and the absolute cost must move by exactly
-    the shift.
+    The first copy moves releases up by 2**62. The second moves them to the
+    64-bit edge, by MAX_TIME - (max r_hi + sum p), so that the instance's
+    worst-case completion bound holds with equality. Shifting every release
+    by the same amount shifts every makespan by it, so both solvers must
+    return the same orders, the regret report must be unchanged and every
+    optimum and the absolute cost must move by exactly the shift.
     """
-    shift = 2**62
     p, r_lo, r_hi = instance.columns
-    shifted = Instance.from_arrays(p, r_lo + shift, r_hi + shift, instance.uncertainty)
-    problems = []
-    base, high = solve_robust_regret(instance), solve_robust_regret(shifted)
-    if (high.schedule.perm, high.regret, high.per_candidate) != (
-        base.schedule.perm, base.regret, base.per_candidate
-    ):
-        problems.append(f"regret {base.regret} -> {high.regret}")
+    base = solve_robust_regret(instance)
     optima = all_optimal_makespans_fast(instance)
-    moved = all_optimal_makespans_fast(shifted)
-    if not np.array_equal(moved, optima + shift):
-        problems.append(f"optima {optima.tolist()} -> {moved.tolist()}")
     sched, cost = solve_robust_absolute(instance)
-    sched_high, cost_high = solve_robust_absolute(shifted)
-    if sched_high.perm != sched.perm or cost_high != cost + shift:
-        problems.append(f"absolute cost {cost} -> {cost_high}")
-    if problems:
-        raise _Counterexample(
-            "shifted-magnitude", instance, f"releases + 2**62: {'; '.join(problems)}"
-        )
+    edge = MAX_TIME - int(r_hi.max()) - int(p.sum())
+    for shift, label in ((2**62, "2**62"), (edge, f"{edge} (the 64-bit edge)")):
+        shifted = Instance.from_arrays(p, r_lo + shift, r_hi + shift, instance.uncertainty)
+        problems = []
+        high = solve_robust_regret(shifted)
+        if (high.schedule.perm, high.regret, high.per_candidate) != (
+            base.schedule.perm, base.regret, base.per_candidate
+        ):
+            problems.append(f"regret {base.regret} -> {high.regret}")
+        moved = all_optimal_makespans_fast(shifted)
+        if not np.array_equal(moved, optima + shift):
+            problems.append(f"optima {optima.tolist()} -> {moved.tolist()}")
+        sched_high, cost_high = solve_robust_absolute(shifted)
+        if sched_high.perm != sched.perm or cost_high != cost + shift:
+            problems.append(f"absolute cost {cost} -> {cost_high}")
+        if problems:
+            raise _Counterexample(
+                "shifted-magnitude", instance, f"releases + {label}: {'; '.join(problems)}"
+            )
     counts["shifted-magnitude"] += 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise CliError(f"--trials must be non-negative, got {args.trials}")
     # (instance, whether to repeat its checks at shifted magnitude)
     instances = []
     if args.input:

@@ -262,8 +262,9 @@ class Instance:
 class Scenario:
     """One concrete release-date vector, indexed by job id.
 
-    Releases are integers of at least 0 (bools and floats are refused);
-    `array` is their read-only int64 copy. A scenario may violate the
+    Releases are integers of at least 0 (bools and floats are refused),
+    stored as Python ints whatever integer type they came in; `array` is
+    their read-only int64 copy. A scenario may violate the
     deviation budget (the solvers reason about the hypothetical
     all-upper-bounds vector, which is often infeasible); budget feasibility
     is a separate predicate in the uncertainty module.
@@ -274,12 +275,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         releases = _as_tuple(self.releases, "releases")
-        object.__setattr__(self, "releases", releases)
         arr = _int64_column(releases, lambda k: f"release of job {k + 1}")
         if arr.size and arr.min() < 0:
             k = int(np.flatnonzero(arr < 0)[0])
             raise ValueError(f"release of job {k + 1} must be at least 0, got {releases[k]}")
         arr.setflags(write=False)
+        object.__setattr__(self, "releases", tuple(arr.tolist()))
         object.__setattr__(self, "array", arr)
 
 
@@ -287,6 +288,7 @@ class Scenario:
 class Schedule:
     """A processing order: perm[i] is the id of the job processed (i+1)-th.
 
+    The ids are stored as Python ints whatever integer type they came in.
     `indices` holds the zero-based job indices in processing order, as a
     read-only int64 array.
     """
@@ -296,10 +298,10 @@ class Schedule:
 
     def __post_init__(self) -> None:
         perm = _as_tuple(self.perm, "perm")
-        object.__setattr__(self, "perm", perm)
         idx = _int64_column(perm, lambda k: f"perm[{k}]")
         if not np.array_equal(np.sort(idx), np.arange(1, len(perm) + 1)):
             raise ValueError("perm must be a permutation of job ids 1..n")
+        object.__setattr__(self, "perm", tuple(idx.tolist()))
         idx = idx - 1
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)

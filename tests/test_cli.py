@@ -2,11 +2,16 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robust_makespan import (
+    Instance,
     Scenario,
     Schedule,
+    UncertaintyModel,
     candidate_scenario,
     evaluate,
     extreme_scenarios,
@@ -43,6 +48,41 @@ def write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc) if isinstance(doc, dict) else doc)
     return str(path)
+
+
+def reference_dump(instance):
+    """The per-row f-string writer that `dump_instance` replaced: the reference for its bytes."""
+    kind, gamma = instance.uncertainty.kind, instance.uncertainty.gamma
+    p, r_lo, r_hi = (c.tolist() for c in instance.columns)
+    lines = [
+        "{",
+        '  "version": 1,',
+        f'  "uncertainty": {{"kind": "{kind}", "gamma": {gamma}}},',
+        '  "jobs": [',
+    ]
+    last = len(p) - 1
+    for i in range(len(p)):
+        comma = "," if i != last else ""
+        lines.append(
+            f'    {{"id": {i + 1}, "p": {p[i]}, "r_lo": {r_lo[i]}, "r_hi": {r_hi[i]}}}{comma}'
+        )
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def json_reader_outcome(monkeypatch, path):
+    """load_instance's instance, or its CliError message, with the JSON reader alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_generated_columns", lambda raw: None)
+        return load_outcome(path)
+
+
+def load_outcome(path):
+    try:
+        return load_instance(path)
+    except cli.CliError as exc:
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +204,139 @@ def test_release_near_int64_limit_round_trips_and_solves(tmp_path):
     assert main(["solve", "--criterion", "regret", "--input", str(path),
                  "--output", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["objective"] == solve_robust_regret(inst).regret
+
+
+@st.composite
+def instances(draw):
+    """Instances of 1 to 40 jobs, with values from 0 up to the worst-case completion bound."""
+    n = draw(st.integers(1, 40))
+    p_max = draw(st.sampled_from([1, 100, 10**4, 2**40, MAX_TIME // 64]))
+    p = draw(st.lists(st.integers(1, p_max), min_size=n, max_size=n))
+    limit = MAX_TIME - sum(p)  # the largest r_hi the bound allows
+    r_hi = draw(st.lists(st.integers(0, limit), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        r_hi[draw(st.integers(0, n - 1))] = limit
+    r_lo = [draw(st.integers(0, hi)) for hi in r_hi]
+    kind = draw(st.sampled_from(["U1", "U2"]))
+    gamma = draw(st.one_of(st.integers(1, 10**4), st.integers(2**63, 2**70), st.just(MAX_TIME)))
+    return Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(kind, gamma))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_dump_then_load_returns_the_instance(tmp_path_factory, instance):
+    path = tmp_path_factory.mktemp("round-trip") / "inst.json"
+    text = dump_instance(instance)
+    assert text == reference_dump(instance)
+    path.write_text(text)
+    assert load_instance(path) == instance
+    # the fast reader takes every file it writes whose gamma has at most 19 digits
+    fast = cli._generated_columns(path.read_bytes())
+    assert (fast is not None) == (instance.uncertainty.gamma < 10**19)
+
+
+def test_dump_writes_zero_values(tmp_path):
+    inst = make_instance([(1, 0, 0), (10**4, 0, 10**4), (9999, 10**8, MAX_TIME - 2 * 10**4)],
+                         kind="U1", gamma=0)
+    path = tmp_path / "zero.json"
+    path.write_text(dump_instance(inst))
+    assert path.read_text() == reference_dump(inst)
+    assert load_instance(path) == inst
+
+
+# most keep the file's length, so only the byte comparison tells them from the layout
+MUTATIONS = {
+    "changed digit": lambda t: t.replace('"r_hi": 400', '"r_hi": 401'),
+    "added space": lambda t: t.replace('"p": 3', '"p":  3'),
+    "space for newline": lambda t: t.replace(',\n    {"id": 2', ', \n   {"id": 2'),
+    "swapped keys": lambda t: t.replace('{"id": 2, "p": 3', '{"p": 3, "id": 2'),
+    "renamed key": lambda t: t.replace('"p": 3', '"q": 3'),
+    "negative": lambda t: t.replace('"r_hi": 400', '"r_hi": -40'),
+    "leading zero": lambda t: t.replace('"r_hi": 400', '"r_hi": 040'),
+    "float": lambda t: t.replace('"r_hi": 400', '"r_hi": 4e2'),
+    "bool": lambda t: t.replace('"p": 1234', '"p": true'),
+    "20 digits": lambda t: t.replace('"r_hi": 400', '"r_hi": 12345678901234567890'),
+    "CRLF": lambda t: t.replace("\n", "\r\n"),
+    "no final newline": lambda t: t[:-1],
+    "extra job field": lambda t: t.replace('"r_hi": 5}', '"r_hi": 5, "w": 1}'),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutated_files_load_as_the_json_reader_reads_them(tmp_path, monkeypatch, mutation):
+    inst = make_instance([(2, 5, 400), (3, 5, 5), (1234, 0, 9)], kind="U1", gamma=7)
+    text = MUTATIONS[mutation](dump_instance(inst))
+    assert text != dump_instance(inst)
+    path = tmp_path / "inst.json"
+    path.write_bytes(text.encode())
+    fast = cli._generated_columns(path.read_bytes())
+    assert (fast is not None) == (mutation == "changed digit")
+    assert load_outcome(path) == json_reader_outcome(monkeypatch, path)
+
+
+@pytest.mark.parametrize("n", [1, 3000])
+def test_generated_files_load_without_a_json_parse(tmp_path, monkeypatch, n):
+    path = tmp_path / "gen.json"
+    assert main(["generate", "--n", str(n), "--seed", "2", "--model", "U1", "--gamma", "30",
+                 "--r-range", "0", str(2 * n), "--output", str(path)]) == EXIT_OK
+    want = json_reader_outcome(monkeypatch, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a file generate wrote")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    assert load_instance(path) == want
+    assert path.read_text() == reference_dump(want)
+
+
+def list_payload(payload):
+    """The payload with every array as a list, as json.dumps takes it."""
+    return {key: list_payload(value) if isinstance(value, dict)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()}
+
+
+EDGE = [(1, 0, MAX_TIME - 2), (1, 5, 5)]
+
+
+@pytest.mark.parametrize("jobs", [3000, 1, EDGE], ids=["n=3000", "n=1", "max-time"])
+@pytest.mark.parametrize("criterion", ["regret", "absolute"])
+def test_solution_bytes_equal_json_dumps(tmp_path, jobs, criterion):
+    if jobs == 3000:
+        path = tmp_path / "gen.json"
+        assert main(["generate", "--n", "3000", "--seed", "4", "--model", "U1", "--gamma", "30",
+                     "--r-range", "0", "6000", "--output", str(path)]) == EXIT_OK
+    else:
+        jobs = [(7, 3, 9)] if jobs == 1 else jobs
+        path = tmp_path / "inst.json"
+        path.write_text(dump_instance(make_instance(jobs, kind="U1", gamma=2**63)))
+    payload = cli.solve_to_payload(criterion, load_instance(path))
+    want = json.dumps(list_payload(payload)) + "\n"
+    assert cli._solution_text(payload) == want
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--criterion", criterion, "--input", str(path),
+                 "--output", str(out)]) == EXIT_OK
+    assert out.read_text() == want
+
+
+def test_rendered_lists_equal_json_dumps_at_digit_group_edges():
+    values = [0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10**4, 10**4 + 1, 99_999_999, 10**8,
+              10**8 + 7, 10**12, 10**16 - 1, 10**16, 10**18 - 1, 10**18, MAX_TIME]
+    for column in (np.array(values), np.array(values[:9]), np.array([0])):
+        text = b"[" + b"".join(cli._render_rows(b", ", (b"", b""), (column,))) + b"]"
+        assert text == json.dumps(column.tolist()).encode()
+    assert list(cli._render_rows(b", ", (b"", b""), (np.array([], np.int64),))) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        list(cli._render_rows(b", ", (b"", b""), (np.array([3, -1]),)))
+
+
+def test_rendered_rows_span_several_chunks(monkeypatch):
+    monkeypatch.setattr(cli, "_ROWS", 5)
+    rng = np.random.default_rng(3)
+    columns = (rng.integers(0, 10**6, 23), rng.integers(0, MAX_TIME, 23, endpoint=True))
+    text = b"".join(cli._render_rows(b";\n", (b"<", b"|", b">"), columns))
+    want = ";\n".join(f"<{a}|{b}>" for a, b in zip(*(c.tolist() for c in columns)))
+    assert text == want.encode()
 
 
 # ---------------------------------------------------------------------------
@@ -473,5 +646,32 @@ def test_verify_catches_solver_inexact_at_large_magnitude(monkeypatch, capsys):
     assert "absolute cost" in err
 
 
+def test_verify_catches_solver_inexact_at_the_64_bit_edge(monkeypatch, capsys):
+    # negative control: a cost computed with sum(p) of headroom saturates only
+    # within sum(p) of the limit, so the 2**62 shift passes and the edge fails
+    exact = cli.solve_robust_absolute
+
+    def headroom_solver(instance):
+        schedule, cost = exact(instance)
+        total = int(instance.columns[0].sum())
+        return schedule, min(cost + total, MAX_TIME) - total
+
+    monkeypatch.setattr(cli, "solve_robust_absolute", headroom_solver)
+    assert main(["verify", "--trials", "20", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    err = capsys.readouterr().err
+    assert "FAIL shifted-magnitude: releases + " in err
+    assert "(the 64-bit edge): absolute cost" in err
+    assert "2**62" not in err
+
+
 def test_verify_without_work_is_usage_error(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
+
+
+def test_verify_refuses_negative_trials(tmp_path, capsys):
+    path = write(tmp_path, TWO_JOB)
+    for argv in (["--trials", "-3", "--input", path], ["--trials", "-1"]):
+        assert main(["verify", *argv]) == EXIT_USAGE
+        err = capsys.readouterr()
+        assert err.err == "error: --trials must be non-negative, got " + argv[1] + "\n"
+        assert err.out == ""

@@ -1,4 +1,5 @@
 """Core types and the completion-time machinery."""
+import json
 import pickle
 import random
 import re
@@ -463,6 +464,17 @@ def test_schedule_requires_integer_ids():
     with pytest.raises(ValueError, match="permutation"):
         Schedule(tuple(range(2, n + 2)))
     assert Schedule(np.arange(1, n + 1)).indices.tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64])
+def test_numpy_ids_and_releases_are_stored_as_python_ints(dtype):
+    schedule = Schedule(np.array([2, 3, 1], dtype=dtype))
+    scenario = Scenario(np.array([4, 0, 7], dtype=dtype))
+    assert json.dumps(schedule.perm) == "[2, 3, 1]"
+    assert json.dumps(scenario.releases) == "[4, 0, 7]"
+    assert all(type(v) is int for v in schedule.perm + scenario.releases)
+    assert schedule == Schedule((2, 3, 1)) and hash(schedule) == hash(Schedule((2, 3, 1)))
+    assert scenario == Scenario((4, 0, 7)) and hash(scenario) == hash(Scenario((4, 0, 7)))
 
 
 def test_hot_paths_never_build_job_records():
