@@ -5,12 +5,15 @@ r_hi) indexed by job id - 1; build it from `Job` records or straight from
 the columns with `Instance.from_arrays`. Both constructors check every
 field in bulk: integers only (bools and floats are refused), positive
 processing times, 0 <= r_lo <= r_hi, and a worst-case completion time,
-sum(p) + max(r_hi) in Python integers, that fits the signed 64-bit range.
-So sort keys, completion times and oracle comparisons are exact. The
-per-job `jobs` tuple is derived only when something asks for it.
+sum(p) + max(r_hi) in Python integers, that fits the signed 64-bit range;
+a model that is not an `UncertaintyModel` is refused too. So sort keys,
+completion times and oracle comparisons are exact. The per-job `jobs`
+tuple is derived only when something asks for it.
 
 A `Scenario` holds non-negative integer releases and a `Schedule` a
-permutation of job ids; each keeps a read-only int64 array of them.
+permutation of job ids; each takes a sequence of integers or a
+one-dimensional integer array, checked as `Instance.from_arrays` checks a
+column, and keeps a read-only int64 array of them.
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_completions_arrays` can never wrap.
@@ -75,14 +78,6 @@ def _is_integer(value) -> bool:
     )
 
 
-def _as_tuple(values, name: str) -> tuple:
-    """tuple(values), or ValueError when `values` is not iterable (a lone number, say)."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
-
-
 def _int64_column(values, describe) -> np.ndarray:
     """Exact int64 array of a list or tuple of integers; ValueError naming the first bad
     entry via describe(k) otherwise.
@@ -108,12 +103,19 @@ def _int64_column(values, describe) -> np.ndarray:
 
 
 def _array_column(values, name: str) -> np.ndarray:
-    """A one-dimensional integer array or sequence of integers as a new int64 array."""
-    if not isinstance(values, np.ndarray) or values.dtype == object:
-        values = values.tolist() if isinstance(values, np.ndarray) else _as_tuple(values, name)
-        return _int64_column(values, lambda k: f"{name}[{k}]")
-    if values.ndim != 1:
+    """A one-dimensional integer array or sequence of integers as a new int64 array.
+
+    An integer array is checked by its dtype in one pass; anything else goes
+    through `_int64_column`, whose errors name the entry as name[k].
+    """
+    if isinstance(values, np.ndarray) and values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        try:
+            values = tuple(values)
+        except TypeError:  # a lone number, say
+            raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+        return _int64_column(values, lambda k: f"{name}[{k}]")
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
     if values.dtype.kind == "u" and values.size and int(values.max()) > MAX_TIME:
@@ -139,15 +141,23 @@ class Instance:
     __slots__ = ("columns", "uncertainty", "__dict__")
 
     def __init__(self, jobs, uncertainty: UncertaintyModel) -> None:
-        jobs = tuple(jobs)
+        try:
+            jobs = tuple(jobs)
+        except TypeError:
+            raise ValueError(f"jobs must be a sequence of Job records, got {jobs!r}") from None
         if not jobs:
             raise ValueError("instance needs at least one job")
-        ids = [job.id for job in jobs]
-        fields = {
-            "p": [job.p for job in jobs],
-            "r_lo": [job.r_lo for job in jobs],
-            "r_hi": [job.r_hi for job in jobs],
-        }
+        try:
+            ids = [job.id for job in jobs]
+            fields = {
+                "p": [job.p for job in jobs],
+                "r_lo": [job.r_lo for job in jobs],
+                "r_hi": [job.r_hi for job in jobs],
+            }
+        except AttributeError:
+            k = next(k for k, job in enumerate(jobs)
+                     if not all(hasattr(job, name) for name in ("id", "p", "r_lo", "r_hi")))
+            raise ValueError(f"jobs[{k}] must be a Job record, got {jobs[k]!r}") from None
         columns = [
             _int64_column(values, lambda k, name=name: f"job {jobs[k].id}: field {name!r}")
             for name, values in fields.items()
@@ -187,7 +197,9 @@ class Instance:
 
     def _set_columns(self, p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray,
                      uncertainty: UncertaintyModel) -> None:
-        """Check owned int64 columns in bulk, freeze them and store them."""
+        """Check the model and owned int64 columns in bulk, freeze them and store them."""
+        if not isinstance(uncertainty, UncertaintyModel):
+            raise ValueError(f"uncertainty must be an UncertaintyModel, got {uncertainty!r}")
         if p.min() <= 0:
             j = int(np.flatnonzero(p <= 0)[0])
             raise ValueError(f"job {j + 1}: processing time must be positive, got {p[j]}")
@@ -274,11 +286,10 @@ class Scenario:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        releases = _as_tuple(self.releases, "releases")
-        arr = _int64_column(releases, lambda k: f"release of job {k + 1}")
+        arr = _array_column(self.releases, "releases")
         if arr.size and arr.min() < 0:
             k = int(np.flatnonzero(arr < 0)[0])
-            raise ValueError(f"release of job {k + 1} must be at least 0, got {releases[k]}")
+            raise ValueError(f"release of job {k + 1} must be at least 0, got {arr[k]}")
         arr.setflags(write=False)
         object.__setattr__(self, "releases", tuple(arr.tolist()))
         object.__setattr__(self, "array", arr)
@@ -297,9 +308,8 @@ class Schedule:
     indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        perm = _as_tuple(self.perm, "perm")
-        idx = _int64_column(perm, lambda k: f"perm[{k}]")
-        if not np.array_equal(np.sort(idx), np.arange(1, len(perm) + 1)):
+        idx = _array_column(self.perm, "perm")
+        if not np.array_equal(np.sort(idx), np.arange(1, idx.size + 1)):
             raise ValueError("perm must be a permutation of job ids 1..n")
         object.__setattr__(self, "perm", tuple(idx.tolist()))
         idx = idx - 1

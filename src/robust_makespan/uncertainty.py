@@ -48,7 +48,7 @@ def candidate_scenario(instance: Instance, jid: int) -> Scenario:
         raise ValueError(f"job id must be an integer, got {jid!r}")
     if not 1 <= jid <= instance.n:
         raise ValueError(f"no job with id {jid}")
-    return Scenario(tuple(_single_deviation(instance, jid).tolist()))
+    return Scenario(_single_deviation(instance, jid))
 
 
 def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
@@ -76,4 +76,4 @@ def extreme_scenarios(instance: Instance) -> tuple[Scenario, Scenario]:
     a valid input to the evaluator and drives the worst-case analysis.
     """
     _, r_lo, r_hi = instance.columns
-    return Scenario(tuple(r_lo.tolist())), Scenario(tuple(r_hi.tolist()))
+    return Scenario(r_lo), Scenario(r_hi)

@@ -477,6 +477,54 @@ def test_numpy_ids_and_releases_are_stored_as_python_ints(dtype):
     assert scenario == Scenario((4, 0, 7)) and hash(scenario) == hash(Scenario((4, 0, 7)))
 
 
+# each with an explicit dtype: np.array([0, True]) would be an int64 array
+_NOT_INT64_ARRAYS = {
+    "float64": np.array([1, 2], dtype=np.float64),
+    "bool": np.array([True, False], dtype=bool),
+    "<U1": np.array(["1", "2"], dtype="<U1"),
+    "2-D int64": np.array([[1, 2]], dtype=np.int64),
+    "uint64 2**63": np.array([1, 2**63], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("values", _NOT_INT64_ARRAYS.values(), ids=_NOT_INT64_ARRAYS.keys())
+@pytest.mark.parametrize("kind", [Scenario, Schedule])
+def test_scenario_and_schedule_refuse_non_int64_arrays(kind, values):
+    with pytest.raises(ValueError):
+        kind(values)
+
+
+def test_entry_errors_name_the_position():
+    with pytest.raises(ValueError, match=r"releases\[1\] must be an integer"):
+        Scenario((0, 1.5))
+    with pytest.raises(ValueError, match=r"perm\[2\] must be an integer"):
+        Schedule([1, 2, "3"])
+    with pytest.raises(ValueError, match=r"releases must hold integers, got dtype float64"):
+        Scenario(np.zeros(2))
+    with pytest.raises(ValueError, match="release of job 2 must be at least 0, got -4"):
+        Scenario(np.array([0, -4]))
+    model = UncertaintyModel("U2", 1)
+    with pytest.raises(ValueError, match=r"jobs\[1\] must be a Job record, got 7"):
+        Instance((Job(1, 1, 0, 0), 7), model)
+    with pytest.raises(ValueError, match="jobs must be a sequence of Job records"):
+        Instance(None, model)
+    with pytest.raises(ValueError, match="uncertainty must be an UncertaintyModel, got 'U2'"):
+        Instance.from_arrays([1], [0], [0], "U2")
+
+
+def test_uncertainty_scenarios_from_arrays_match_tuple_built_ones():
+    inst = make_instance([(2, 1, 9), (3, 0, 4), (1, 5, 5)], kind="U1", gamma=3)
+    _, r_lo, r_hi = (c.tolist() for c in inst.columns)
+    trimmed = inst.trimmed_r_hi.tolist()
+    built = [candidate_scenario(inst, jid) for jid in (1, 2, 3)] + list(extreme_scenarios(inst))
+    want = [tuple(r_lo[:j] + [trimmed[j]] + r_lo[j + 1:]) for j in range(3)] + [
+        tuple(r_lo), tuple(r_hi)]
+    for scenario, releases in zip(built, want):
+        assert scenario == Scenario(releases) and hash(scenario) == hash(Scenario(releases))
+        assert all(type(v) is int for v in scenario.releases)
+    assert want[0] == (4, 0, 5) and want[4] == (9, 4, 5)
+
+
 def test_hot_paths_never_build_job_records():
     rng = random.Random(6)
     for n in (5, 3000):

@@ -402,9 +402,16 @@ def test_lone_numbers_and_strings_raise_value_error():
         lambda: Job(1, "2", 0, 1),
         lambda: Job(1, 2, 0, None),
         lambda: Instance.from_arrays(1, 0, 0, _MODEL),
+        lambda: Instance.from_arrays(np.array(1, dtype=object), [0], [0], _MODEL),
         lambda: Scenario(5),
         lambda: Schedule(5),
         lambda: IntervalMinTable(5),
+        lambda: Instance.from_arrays([1, 2], [0, 0], [3, 0], "U2"),
+        lambda: Instance((Job(1, 1, 0, 0),), None),
+        lambda: Instance((Job(1, 1, 0, 0),), {"kind": "U2", "gamma": 1}),
+        lambda: Instance(None, _MODEL),
+        lambda: Instance(5, _MODEL),
+        lambda: Instance([1, 2], _MODEL),
     ]
     for call in calls:
         with pytest.raises(ValueError):
