@@ -334,7 +334,7 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
         "worst_case_scenario": {"releases": releases, "candidate_job": jid},
     }
     if criterion == "regret":
-        payload["per_candidate"] = np.fromiter(report.per_candidate, np.int64, instance.n)
+        payload["per_candidate"] = np.frombuffer(report._per_candidate, np.int64)
     return payload
 
 
@@ -539,15 +539,13 @@ def _verify_shifted(instance: Instance, counts: dict) -> None:
         shifted = Instance.from_arrays(p, r_lo + shift, r_hi + shift, instance.uncertainty)
         problems = []
         high = solve_robust_regret(shifted)
-        if (high.schedule.perm, high.regret, high.per_candidate) != (
-            base.schedule.perm, base.regret, base.per_candidate
-        ):
+        if high != base:
             problems.append(f"regret {base.regret} -> {high.regret}")
         moved = all_optimal_makespans_fast(shifted)
         if not np.array_equal(moved, optima + shift):
             problems.append(f"optima {optima.tolist()} -> {moved.tolist()}")
         sched_high, cost_high = solve_robust_absolute(shifted)
-        if sched_high.perm != sched.perm or cost_high != cost + shift:
+        if sched_high != sched or cost_high != cost + shift:
             problems.append(f"absolute cost {cost} -> {cost_high}")
         if problems:
             raise _Counterexample(

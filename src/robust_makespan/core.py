@@ -13,7 +13,8 @@ tuple is derived only when something asks for it.
 A `Scenario` holds non-negative integer releases and a `Schedule` a
 permutation of job ids; each takes a sequence of integers or a
 one-dimensional integer array, checked as `Instance.from_arrays` checks a
-column, and keeps a read-only int64 array of them.
+column. A `Scenario` keeps a read-only int64 array beside its tuple; a
+`Schedule` stores only its int64 order and builds `perm` on first use.
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_completions_arrays` can never wrap.
@@ -299,35 +300,43 @@ class Scenario:
 class Schedule:
     """A processing order: perm[i] is the id of the job processed (i+1)-th.
 
-    The ids are stored as Python ints whatever integer type they came in.
-    `indices` holds the zero-based job indices in processing order, as a
-    read-only int64 array.
+    The one stored form is the zero-based order, as int64 bytes; equality,
+    hashing and pickling go through it. `indices` is a read-only int64 view
+    of it, the job indices in processing order, and `perm`, the ids as
+    Python ints, is built on first use.
     """
 
-    perm: tuple[int, ...]
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _order: bytes = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        idx = _array_column(self.perm, "perm")
+    def __init__(self, perm) -> None:
+        idx = _array_column(perm, "perm")
         if not np.array_equal(np.sort(idx), np.arange(1, idx.size + 1)):
             raise ValueError("perm must be a permutation of job ids 1..n")
-        object.__setattr__(self, "perm", tuple(idx.tolist()))
-        idx = idx - 1
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "_order", (idx - 1).tobytes())
 
     @classmethod
     def _from_order(cls, order: np.ndarray) -> Schedule:
         """The schedule of a zero-based int64 order that is known to be a permutation.
 
-        For solvers: skips the checks of the public constructor and keeps
-        `order` (frozen) as `indices`.
+        For solvers: skips the checks of the public constructor.
         """
         schedule = object.__new__(cls)
-        object.__setattr__(schedule, "perm", tuple((order + 1).tolist()))
-        order.setflags(write=False)
-        object.__setattr__(schedule, "indices", order)
+        object.__setattr__(schedule, "_order", order.tobytes())
         return schedule
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.frombuffer(self._order, dtype=np.int64)
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        return tuple((self.indices + 1).tolist())
+
+    def __repr__(self) -> str:
+        n = self.indices.size
+        if n > 16:
+            return f"<Schedule n={n}>"
+        return f"Schedule(perm={self.perm})"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ schedule's own order.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +47,18 @@ class RegretReport:
     """Worst regret of one schedule over the single-deviation scenarios.
 
     per_candidate[j - 1] is the regret against the scenario that raises only
-    job j; worst_job is the smallest job id attaining the maximum.
+    job j; worst_job is the smallest job id attaining the maximum. The values
+    are stored once, as int64 bytes, and the tuple is built on first use.
     """
 
     schedule: Schedule
     regret: int
     worst_job: int
-    per_candidate: tuple[int, ...]
+    _per_candidate: bytes = field(repr=False)
+
+    @cached_property
+    def per_candidate(self) -> tuple[int, ...]:
+        return tuple(np.frombuffer(self._per_candidate, dtype=np.int64).tolist())
 
 
 def regret_of(schedule: Schedule, scenario: Scenario, instance: Instance) -> int:
@@ -251,7 +257,7 @@ def _regret_report(
         schedule=schedule,
         regret=int(per_candidate[worst_job - 1]),
         worst_job=worst_job,
-        per_candidate=tuple(per_candidate.tolist()),
+        _per_candidate=per_candidate.tobytes(),
     )
 
 

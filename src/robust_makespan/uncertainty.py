@@ -7,19 +7,23 @@ from .core import MAX_TIME, Instance, Scenario, _is_integer, _releases
 
 
 def is_feasible(scenario: Scenario, instance: Instance) -> bool:
-    """Whether the scenario's deviations from the lower bounds fit the budget.
+    """Whether every release lies in its interval [r_lo, r_hi] and the deviations
+    from the lower bounds fit the budget (summed deviation for U1, count of
+    deviating jobs for U2).
 
-    The scenario is assumed to respect the release intervals; this predicate
-    checks only the deviation budget (summed deviation for U1, count of
-    deviating jobs for U2). Like the evaluators, it raises ValueError when
-    max(releases) + sum(p) leaves the 64-bit range.
+    Like the evaluators, it raises ValueError when max(releases) + sum(p)
+    leaves the 64-bit range.
     """
     model = instance.uncertainty
-    dev = _releases(instance, scenario) - instance.columns[1]
+    _, r_lo, r_hi = instance.columns
+    releases = _releases(instance, scenario)
+    if (releases < r_lo).any() or (releases > r_hi).any():
+        return False
+    dev = releases - r_lo
     if model.kind == "U2":
         return int(np.count_nonzero(dev)) <= model.gamma
-    # the int64 sum is exact while n * max|dev| fits; otherwise sum Python integers
-    if max(int(dev.max()), -int(dev.min())) * dev.size <= MAX_TIME:
+    # the int64 sum is exact while n * max(dev) fits; otherwise sum Python integers
+    if int(dev.max()) * dev.size <= MAX_TIME:
         return int(dev.sum()) <= model.gamma
     return sum(dev.tolist()) <= model.gamma
 

@@ -31,6 +31,7 @@ from robust_makespan import (
     solve_robust_regret,
     worst_case_scenario_absolute,
 )
+from robust_makespan import cli
 from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
 
 from conftest import (
@@ -453,6 +454,31 @@ def test_instance_worst_case_bound_uses_exact_sum():
     assert big.columns[2].tolist() == [MAX_TIME - 2, 0]
 
 
+def test_schedule_value_semantics():
+    arr = np.array([3, 1, 2])
+    sched = Schedule(arr)
+    arr[0] = 2  # the schedule keeps its own copy
+    assert sched.perm == (3, 1, 2) and sched.indices.tolist() == [2, 0, 1]
+    with pytest.raises(ValueError):
+        sched.indices[0] = 1
+    for name in ("perm", "indices"):
+        with pytest.raises(AttributeError):
+            setattr(sched, name, (1, 2, 3))
+    assert sched == Schedule((3, 1, 2)) and hash(sched) == hash(Schedule([3, 1, 2]))
+    assert sched != Schedule((1, 2, 3))
+    for fresh in (Schedule(np.array([3, 1, 2])), sched):  # without and with the tuple built
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert not copy.indices.flags.writeable
+        assert copy.perm == fresh.perm
+
+
+def test_schedule_repr_lists_ids_up_to_16_jobs():
+    assert repr(Schedule((2, 1))) == "Schedule(perm=(2, 1))"
+    assert eval(repr(Schedule(range(16, 0, -1)))) == Schedule(range(16, 0, -1))
+    assert repr(Schedule(range(1, 18))) == "<Schedule n=17>"
+
+
 def test_schedule_requires_integer_ids():
     with pytest.raises(ValueError, match="integer"):
         Schedule((1.0, 2.0))
@@ -548,6 +574,36 @@ def test_hot_paths_never_build_job_records():
                 assert "jobs" not in built.__dict__
 
 
+def test_solver_results_build_no_tuples(monkeypatch):
+    rng = random.Random(10)
+    n = 3000
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [rng.randint(0, 40) for _ in range(n)]
+    r_hi = [r + rng.randint(0, 30) for r in r_lo]
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U1", 12))
+    caught = []  # the schedule and report behind each payload
+
+    def catching(solver):
+        def run(instance):
+            caught.append(solver(instance))
+            return caught[-1]
+        return run
+
+    monkeypatch.setattr(cli, "solve_robust_absolute", catching(solve_robust_absolute))
+    monkeypatch.setattr(cli, "solve_robust_regret", catching(solve_robust_regret))
+    cli.solve_to_payload("absolute", inst)
+    cli.solve_to_payload("regret", inst)
+    (payload_schedule, _), payload_report = caught
+    sched, _ = solve_robust_absolute(inst)
+    low, _ = extreme_scenarios(inst)
+    results = [sched, solve_robust_regret(inst), max_regret(sched, inst),
+               erd_schedule(low, inst), payload_schedule, payload_report]
+    for result in results:
+        for built in (result, getattr(result, "schedule", result)):
+            assert "perm" not in built.__dict__
+            assert "per_candidate" not in built.__dict__
+
+
 # ---------------------------------------------------------------------------
 # public surface
 
@@ -556,3 +612,12 @@ def test_every_public_name_appears_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     missing = [name for name in robust_makespan.__all__ if not re.search(rf"\b{name}\b", readme)]
     assert missing == []
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -306,6 +306,34 @@ def test_one_numpy_path_matches_python_loops_at_every_size(n):
             Schedule(tuple(perm_bad))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_lazy_tuples_equal_an_eager_build(n):
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [rng.randint(0, 3 * n) for _ in range(n)]
+    r_hi = [r + rng.randint(0, 3 * n) for r in r_lo]
+    # gamma exceeds every width, so r_hi is already trimmed
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U1", 10 * n))
+    sched, _ = solve_robust_absolute(inst)
+    assert sched.perm == tuple((sched.indices + 1).tolist())
+    # the release order's per-candidate regrets differ from job to job
+    low, _ = extreme_scenarios(inst)
+    for report in (solve_robust_regret(inst), max_regret(erd_schedule(low, inst), inst)):
+        perm = report.schedule.perm
+        assert perm == tuple((report.schedule.indices + 1).tolist())
+        assert all(type(jid) is int for jid in perm)
+        assert all(type(value) is int for value in report.per_candidate)
+        assert max(report.per_candidate) == report.regret
+        if n <= 2:
+            assert list(report.per_candidate) == py_per_candidate(perm, inst)
+            continue
+        # the Python-int reference is O(n^2), so here it checks a sample of candidates
+        for j in rng.sample(range(n), 40):
+            releases = [*r_lo[:j], r_hi[j], *r_lo[j + 1:]]
+            assert report.per_candidate[j] == (py_makespan(perm, releases, p)
+                                               - py_optimum(releases, p))
+
+
 @pytest.mark.parametrize("spread", ["packed", "fallback"])
 def test_sort_paths_exact_near_2_62(spread, monkeypatch):
     # every release near 2**62 still packs (the sort subtracts the minimum);

@@ -1,4 +1,6 @@
 """Regret criterion: per-scenario optima (both paths), reports, and the solver."""
+import dataclasses
+import pickle
 import random
 from itertools import permutations
 from types import SimpleNamespace
@@ -371,6 +373,26 @@ def test_solver_never_beaten_by_any_order():
         best = solve_robust_regret(inst).regret
         for perm in permutations(range(1, inst.n + 1)):
             assert max_regret(Schedule(perm), trimmed).regret >= best
+
+
+def test_report_value_semantics():
+    rng = random.Random(12)
+    n = 3000
+    inst = Instance.from_arrays([rng.randint(1, 9) for _ in range(n)],
+                                [rng.randint(0, 40) for _ in range(n)],
+                                [rng.randint(40, 80) for _ in range(n)],
+                                UncertaintyModel("U2", 3))
+    report = solve_robust_regret(inst)
+    assert len(repr(report)) < 200
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy == report and hash(copy) == hash(report)
+    assert copy.per_candidate == report.per_candidate
+    raised = dataclasses.replace(report, regret=report.regret + 1)
+    assert raised != report and raised.per_candidate == report.per_candidate
+    values = np.array(report.per_candidate)
+    values[1] -= 1
+    other = dataclasses.replace(report, _per_candidate=values.tobytes())
+    assert other != report and other.per_candidate[1] == report.per_candidate[1] - 1
 
 
 def test_solver_report_is_consistent_with_max_regret():

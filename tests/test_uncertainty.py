@@ -40,6 +40,18 @@ def test_is_feasible_u1_sums_deviation():
     assert not is_feasible(Scenario((4, 0)), inst)
 
 
+def test_is_feasible_refuses_releases_outside_their_intervals():
+    # deviations +5 and -5 sum to 0, inside a zero budget, but job 2 starts early
+    inst = make_instance([(1, 5, 10), (1, 5, 10)], kind="U1", gamma=0)
+    assert not is_feasible(Scenario((10, 0)), inst)
+    assert is_feasible(Scenario((5, 5)), inst)
+    # job 1 released past its upper bound of 10
+    for kind, gamma in (("U1", 100), ("U2", 1)):
+        inst = make_instance([(1, 5, 10), (1, 5, 10)], kind=kind, gamma=gamma)
+        assert not is_feasible(Scenario((50, 5)), inst)
+        assert is_feasible(Scenario((10, 5)), inst)
+
+
 def test_normalize_trims_wide_intervals():
     inst = make_instance([(1, 2, 10)], kind="U1", gamma=5)
     assert normalize_u1(inst).jobs[0].r_hi == 7
