@@ -13,8 +13,8 @@ tuple is derived only when something asks for it.
 A `Scenario` holds non-negative integer releases and a `Schedule` a
 permutation of job ids; each takes a sequence of integers or a
 one-dimensional integer array, checked as `Instance.from_arrays` checks a
-column. A `Scenario` keeps a read-only int64 array beside its tuple; a
-`Schedule` stores only its int64 order and builds `perm` on first use.
+column. Each stores only int64 bytes and builds its tuple (`releases`,
+`perm`) on first use; pickles leave the tuples out.
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_completions_arrays` can never wrap.
@@ -104,9 +104,10 @@ def _int64_column(values, describe) -> np.ndarray:
 
 
 def _array_column(values, name: str) -> np.ndarray:
-    """A one-dimensional integer array or sequence of integers as a new int64 array.
+    """A one-dimensional integer array or sequence of integers as an int64 array.
 
-    An integer array is checked by its dtype in one pass; anything else goes
+    An integer array is checked by its dtype in one pass (an int64 one comes
+    back as itself: callers that keep it copy it); anything else goes
     through `_int64_column`, whose errors name the entry as name[k].
     """
     if isinstance(values, np.ndarray) and values.ndim != 1:
@@ -121,7 +122,7 @@ def _array_column(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must hold integers, got dtype {values.dtype}")
     if values.dtype.kind == "u" and values.size and int(values.max()) > MAX_TIME:
         raise ValueError(f"a value of {name} exceeds the 64-bit range")
-    return values.astype(np.int64)
+    return values.astype(np.int64, copy=False)
 
 
 def _trim_upper(r_lo: np.ndarray, r_hi: np.ndarray, gamma: int) -> np.ndarray:
@@ -184,7 +185,7 @@ class Instance:
         Accepts integer arrays or sequences of integers and copies them.
         """
         columns = [
-            _array_column(values, name)
+            _array_column(values, name).copy()
             for values, name in ((p, "p"), (r_lo, "r_lo"), (r_hi, "r_hi"))
         ]
         sizes = {c.size for c in columns}
@@ -271,33 +272,50 @@ class Instance:
         return f"Instance.from_arrays({p}, {r_lo}, {r_hi}, {self.uncertainty!r})"
 
 
+class _StoredOnce:
+    """Pickles the stored fields only, not the tuples its cached properties built."""
+
+    def __getstate__(self) -> dict:
+        cls = type(self)
+        return {name: value for name, value in self.__dict__.items()
+                if not isinstance(getattr(cls, name, None), cached_property)}
+
+
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(_StoredOnce):
     """One concrete release-date vector, indexed by job id.
 
     Releases are integers of at least 0 (bools and floats are refused),
-    stored as Python ints whatever integer type they came in; `array` is
-    their read-only int64 copy. A scenario may violate the
-    deviation budget (the solvers reason about the hypothetical
-    all-upper-bounds vector, which is often infeasible); budget feasibility
-    is a separate predicate in the uncertainty module.
+    stored once as int64 bytes, as a `Schedule` stores its order; `array` is
+    a read-only view of them and `releases` their tuple of Python ints. A
+    scenario may violate the deviation budget (the solvers reason about the
+    hypothetical all-upper-bounds vector, which is often infeasible); budget
+    feasibility is a separate predicate in the uncertainty module.
     """
 
-    releases: tuple[int, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    _releases: bytes = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        arr = _array_column(self.releases, "releases")
+    def __init__(self, releases) -> None:
+        arr = _array_column(releases, "releases")
         if arr.size and arr.min() < 0:
             k = int(np.flatnonzero(arr < 0)[0])
             raise ValueError(f"release of job {k + 1} must be at least 0, got {arr[k]}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "releases", tuple(arr.tolist()))
-        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "_releases", arr.tobytes())
+
+    @property
+    def array(self) -> np.ndarray:
+        return np.frombuffer(self._releases, dtype=np.int64)
+
+    @cached_property
+    def releases(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
+
+    def __repr__(self) -> str:
+        return f"Scenario(releases={self.releases})"
 
 
 @dataclass(frozen=True)
-class Schedule:
+class Schedule(_StoredOnce):
     """A processing order: perm[i] is the id of the job processed (i+1)-th.
 
     The one stored form is the zero-based order, as int64 bytes; equality,
@@ -356,40 +374,49 @@ class ScheduleEvaluation:
 
 # from this many keys on, one packed ndarray.sort() beats the timsort behind
 # np.argsort(kind="stable") on int64 keys; below it the packed path's fixed
-# cost of about 10 us loses (crossover table in CHANGES.md)
+# cost of about 10 us loses; with a tie column it races np.lexsort, which
+# loses from fewer keys on (crossover tables in CHANGES.md)
 _PACKED_MIN = 1024
+_PACKED_TIE_MIN = 384
 
 
-def _sorted_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, values[order]) of a stable sort of an int64 array; ties keep ascending index.
+def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(order, values[order]) of a sort of an int64 array; ties go by ascending tie[k], a
+    permutation of 0..n-1 that defaults to k, which makes the sort stable.
 
-    From `_PACKED_MIN` keys on, when max - min (in Python integers) fits in
-    62 - bits bits, bits = (n - 1).bit_length(), this is one ndarray.sort()
-    of ((values - min) << bits) | index: the index makes every packed key
-    distinct, so the fast unstable sort gives the stable order, and the
-    sorted values come back by shifting. Otherwise it is
-    np.argsort(kind="stable"), a timsort on int64 keys.
+    From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie), when max - min
+    (in Python integers) fits in 62 - bits bits, bits = (n - 1).bit_length(),
+    this is one ndarray.sort() of ((values - min) << bits) | tie: the tie
+    makes every packed key distinct, so the fast unstable sort gives the
+    order. Its low bits are tie[order], whence order by one gather through
+    the inverse of tie; the sorted values come back by shifting. Otherwise
+    it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
-    if n >= _PACKED_MIN:
+    if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
         bits = (n - 1).bit_length()
         low = int(values.min())
         if int(values.max()) - low < 1 << (62 - bits):
             packed = values - low
             packed <<= bits
-            packed |= np.arange(n, dtype=np.int64)
+            packed |= np.arange(n, dtype=np.int64) if tie is None else tie
             packed.sort()
             order = packed & ((1 << bits) - 1)
+            if tie is not None:
+                inverse = np.empty(n, dtype=np.int64)
+                inverse[tie] = np.arange(n, dtype=np.int64)
+                order = inverse[order]
             packed >>= bits
             packed += low
             return order, packed
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values, kind="stable") if tie is None else np.lexsort((tie, values))
     return order, values[order]
 
 
-def _stable_argsort(values: np.ndarray) -> np.ndarray:
-    """The order of `_sorted_order`: a stable argsort, ties in ascending-index order."""
-    return _sorted_order(values)[0]
+def _stable_argsort(values: np.ndarray, tie: np.ndarray | None = None) -> np.ndarray:
+    """The order of `_sorted_order`: ties in ascending order of tie, by default of index."""
+    return _sorted_order(values, tie)[0]
 
 
 def _check_covers(instance: Instance, size: int, what: str) -> None:

@@ -11,10 +11,12 @@ re-sorts and re-evaluates each scenario, and a fast path that reads every
 optimum off a slack profile of the all-lower-bounds schedule plus a
 range-minimum table, in O(n log n) total, in numpy passes at every n. The
 fast path clips the slack at max(p) before building the table (exact, as a
-job's pull never exceeds its p_j) and runs its insertion search, range
-queries and arithmetic over cache-sized position chunks. Both must agree
-exactly. The regret report reuses the same profile pass on the
-schedule's own order.
+job's pull never exceeds its p_j) and runs its range queries and arithmetic
+over cache-sized position chunks. Both must agree exactly. The solve stays
+in release-sorted positions (the optima, the key sort, and the report's
+gathers into schedule order, nearly sequential as the schedule stays close
+to the release order) and scatters only the final regrets to job-id order.
+The regret report reuses the same profile pass on the schedule's own order.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ from .core import (
     Instance,
     Scenario,
     Schedule,
+    _PACKED_MIN,
+    _StoredOnce,
     _check_covers,
     _completions_arrays,
     _sorted_order,
@@ -37,13 +41,17 @@ from .core import (
 )
 from .rmq import IntervalMinTable
 
-# positions per chunk of the fast path's search, range queries and bump
-# arithmetic: the chunk's int64 temporaries stay in L2
+# positions per chunk of the fast path's range queries and bump arithmetic:
+# the chunk's int64 temporaries stay in L2
 _CHUNK = 2**14
+
+# from _PACKED_MIN jobs on, insertion ranks are counted while the release span is at most
+# this many positions per job: at most half the search's time (table in CHANGES.md)
+_SPAN_PER_JOB = 4
 
 
 @dataclass(frozen=True)
-class RegretReport:
+class RegretReport(_StoredOnce):
     """Worst regret of one schedule over the single-deviation scenarios.
 
     per_candidate[j - 1] is the regret against the scenario that raises only
@@ -77,13 +85,13 @@ def _profile_from_sorted(
     """(completions, slack, idle_before, idle_after) of an order, from its aligned releases
     and processing times; the slack profile passes the release-sorted order."""
     comp = _completions_arrays(rs, ps)
-    comp_prev = np.empty_like(comp)
-    comp_prev[0] = 0
-    comp_prev[1:] = comp[:-1]
-    slack = comp - rs - ps
-    idle_before = (comp - ps) - comp_prev
-    idle_cum = np.cumsum(idle_before)
-    idle_after = idle_cum[-1] - idle_cum
+    slack = comp - ps  # the start times, until the releases are subtracted
+    idle_before = np.empty_like(comp)
+    idle_before[0] = slack[0]
+    np.subtract(slack[1:], comp[:-1], out=idle_before[1:])
+    idle_after = np.cumsum(idle_before)
+    np.subtract(idle_after[-1], idle_after, out=idle_after)
+    slack -= rs
     return comp, slack, idle_before, idle_after
 
 
@@ -96,10 +104,19 @@ def _optima_sorted_numpy(
     The pull is min(p_j, range minimum), so slack above max(p) cannot change
     it: the table is built on slack clipped there, which turns long runs of
     large slack into ties that its suffix-minimum shortcut answers. The
-    search, the queries and the arithmetic run over position chunks of
-    `_CHUNK`, so their temporaries stay in cache.
+    insertion ranks, searchsorted(rs, rh, side="right"), come first: counted
+    over the release span (Knuth's distribution counting) while it is at most
+    `_SPAN_PER_JOB` * n, else binary-searched. The queries and the arithmetic
+    run over position chunks of `_CHUNK`, so their temporaries stay in cache.
     """
     n = rs.size
+    span = int(rh.max()) - int(rs[0]) + 1
+    if n < _PACKED_MIN or span > _SPAN_PER_JOB * n:
+        ranks = np.searchsorted(rs, rh, side="right")
+    else:
+        ranks = np.bincount(rs - rs[0], minlength=span)
+        np.cumsum(ranks, out=ranks)
+        ranks = ranks[rh - rs[0]]  # frees the counts before the table is built
     table = IntervalMinTable(np.minimum(slack, int(ps.max())))
     base = int(comp[-1])
     out = np.empty(n, dtype=np.int64)
@@ -108,7 +125,7 @@ def _optima_sorted_numpy(
         raised = rh[a:b]
         p_chunk = ps[a:b]
         # new 1-based position of each raised job: last slot whose lower bound it passes
-        insert_at = np.searchsorted(rs, raised, side="right")
+        insert_at = ranks[a:b]
         # empty ranges (job stays put) fall back to p_j via the query sentinel
         pull = np.minimum(
             p_chunk, table.range_min_many(np.arange(a + 2, b + 2, dtype=np.int64), insert_at)
@@ -125,8 +142,10 @@ def _optima_sorted_numpy(
     return out
 
 
-def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -> np.ndarray:
-    """Optimal makespan of every single-deviation scenario, indexed by job id - 1.
+def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
+                            ) -> tuple[np.ndarray, ...]:
+    """(order, rs, ps, rh, optima): the release order by (r_lo, id), the columns gathered
+    into it, and the optimum of every single-deviation scenario, in the same labels.
 
     Raising job j to its upper bound slides it to a later position; everything
     it used to block can move earlier by at most the minimum slack in between
@@ -136,21 +155,23 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray) -
     """
     order, rs = _release_order(r_lo)
     ps = p[order]
+    rh = r_hi[order]
     comp, slack, _, idle_after = _profile_from_sorted(rs, ps)
-    out = np.empty(p.size, dtype=np.int64)
-    out[order] = _optima_sorted_numpy(rs, ps, r_hi[order], slack, comp, idle_after)
-    return out
+    return order, rs, ps, rh, _optima_sorted_numpy(rs, ps, rh, slack, comp, idle_after)
 
 
 def all_optimal_makespans_fast(instance: Instance) -> np.ndarray:
     """Per-scenario optima for all n single-deviation scenarios in O(n log n).
 
-    Returns an int64 array indexed by job id - 1. Raised jobs sit at their
-    trimmed upper bounds (`Instance.trimmed_r_hi`). Must agree exactly with
-    all_optimal_makespans_naive.
+    Returns an int64 array indexed by job id - 1, scattered out of release
+    order. Raised jobs sit at their trimmed upper bounds
+    (`Instance.trimmed_r_hi`). Must agree exactly with all_optimal_makespans_naive.
     """
     p, r_lo, _ = instance.columns
-    return _all_optima_fast_arrays(p, r_lo, instance.trimmed_r_hi)
+    order, *_, optima = _all_optima_fast_arrays(p, r_lo, instance.trimmed_r_hi)
+    out = np.empty_like(optima)
+    out[order] = optima
+    return out
 
 
 def _naive_chunk(
@@ -233,25 +254,23 @@ def _regret_report(
     p: np.ndarray,
     r_lo: np.ndarray,
     r_hi: np.ndarray,
-    optima_by_id: np.ndarray,
+    optima: np.ndarray,
 ) -> RegretReport:
     """Regret against every single-deviation scenario, via delay propagation.
 
+    The columns (r_hi trimmed, optima the candidates') are in schedule order.
     Raising one job inside a fixed order delays its completion by a bump that
     then decays through the idle gaps after it; the candidate's makespan is
     the base makespan plus whatever bump survives. One evaluation of the
     schedule under the all-lower-bounds scenario covers all n candidates.
     """
-    idx = schedule.indices
-    pp = p[idx]
-    comp, _, idle_before, idle_after = _profile_from_sorted(r_lo[idx], pp)
-    start = comp - pp
+    comp, _, idle_before, idle_after = _profile_from_sorted(r_lo, p)
+    start = comp - p
     # the job's start moves from max(previous completion, r_lo) to the same with r_hi
-    bump = np.maximum(start - idle_before, r_hi[idx]) - start
+    bump = np.maximum(start - idle_before, r_hi) - start
     worst_makespan = int(comp[-1]) + np.maximum(bump - idle_after, 0)
-    per_position = worst_makespan - optima_by_id[idx]
-    per_candidate = np.empty_like(per_position)
-    per_candidate[idx] = per_position
+    per_candidate = np.empty_like(worst_makespan)
+    per_candidate[schedule.indices] = worst_makespan - optima
     worst_job = int(per_candidate.argmax()) + 1
     return RegretReport(
         schedule=schedule,
@@ -267,10 +286,11 @@ def max_regret(schedule: Schedule, instance: Instance) -> RegretReport:
     Raised jobs sit at their trimmed upper bounds; by the candidate-set
     argument this equals the worst regret over the whole uncertainty set.
     """
+    idx = schedule.indices
+    _check_covers(instance, idx.size, "perm")
     p, r_lo, _ = instance.columns
-    r_hi = instance.trimmed_r_hi
-    _check_covers(instance, schedule.indices.size, "perm")
-    return _regret_report(schedule, p, r_lo, r_hi, _all_optima_fast_arrays(p, r_lo, r_hi))
+    return _regret_report(schedule, p[idx], r_lo[idx], instance.trimmed_r_hi[idx],
+                          all_optimal_makespans_fast(instance)[idx])
 
 
 def solve_robust_regret(instance: Instance) -> RegretReport:
@@ -281,7 +301,10 @@ def solve_robust_regret(instance: Instance) -> RegretReport:
     schedules.
     """
     p, r_lo, _ = instance.columns
-    r_hi = instance.trimmed_r_hi
-    optima_by_id = _all_optima_fast_arrays(p, r_lo, r_hi)
-    order = _stable_argsort(r_hi - optima_by_id)
-    return _regret_report(Schedule._from_order(order), p, r_lo, r_hi, optima_by_id)
+    order, rs, ps, rh, optima = _all_optima_fast_arrays(p, r_lo, instance.trimmed_r_hi)
+    q = _stable_argsort(rh - optima, order)  # release-sorted positions in schedule order
+    schedule = Schedule._from_order(order[q])
+    # nearly sequential gathers; the sorted columns are freed before the report runs
+    ps, rs, rh, optima = (column[q] for column in (ps, rs, rh, optima))
+    del order, q
+    return _regret_report(schedule, ps, rs, rh, optima)

@@ -34,7 +34,7 @@ class IntervalMinTable:
     """
 
     def __init__(self, values: Sequence[int] | np.ndarray):
-        arr = _array_column(values, "values")
+        arr = _array_column(values, "values").copy()
         self.n = int(arr.size)
         # levels[k][i] = min(values[i * 2**k : (i + 1) * 2**k]); partial tail
         # blocks are not stored, the query walk never needs them

@@ -48,14 +48,19 @@ def random_schedule(rng: random.Random, n: int) -> Schedule:
     return Schedule(tuple(ids))
 
 
-def count_argsort_calls(monkeypatch) -> list:
-    """Route np.argsort through a spy; the returned list grows by one per call."""
+def count_numpy_calls(monkeypatch, name: str) -> list:
+    """Route np.<name> through a spy; the returned list grows by one per call."""
     calls = []
-    real = np.argsort
+    real = getattr(np, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", spy)
+    monkeypatch.setattr(np, name, spy)
     return calls
+
+
+def count_argsort_calls(monkeypatch) -> list:
+    """Route np.argsort through a spy; the returned list grows by one per call."""
+    return count_numpy_calls(monkeypatch, "argsort")

@@ -32,10 +32,11 @@ from robust_makespan import (
     worst_case_scenario_absolute,
 )
 from robust_makespan import cli
-from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
+from robust_makespan.core import _PACKED_MIN, _PACKED_TIE_MIN, MAX_TIME, _sorted_order
 
 from conftest import (
     count_argsort_calls,
+    count_numpy_calls,
     make_instance,
     random_instance,
     random_interval_scenario,
@@ -267,6 +268,21 @@ def test_sorted_order_packs_exactly_when_the_range_fits(n, monkeypatch):
         assert len(calls) == (0 if packs else 1), name
 
 
+@pytest.mark.parametrize("n", SORT_SIZES + [_PACKED_TIE_MIN - 1, _PACKED_TIE_MIN])
+def test_sorted_order_with_a_tie_column_is_the_lexsort(n, monkeypatch):
+    tie = np.random.default_rng(n + 1).permutation(n)
+    calls = count_numpy_calls(monkeypatch, "lexsort")
+    for name, keys in _sort_cases(n).items():
+        packs = n >= _PACKED_TIE_MIN and name not in ("range falls back", "int64 extremes")
+        calls.clear()
+        order, ordered = _sorted_order(keys, tie)
+        assert len(calls) == (0 if packs else 1), name
+        want = np.lexsort((tie, keys))
+        assert order.dtype == ordered.dtype == np.int64, name
+        assert np.array_equal(order, want), name
+        assert np.array_equal(ordered, keys[want]), name
+
+
 def test_fast_paths_never_call_argsort(monkeypatch):
     rng = random.Random(7)
     n = 3000
@@ -471,6 +487,45 @@ def test_schedule_value_semantics():
         assert copy == fresh and hash(copy) == hash(fresh)
         assert not copy.indices.flags.writeable
         assert copy.perm == fresh.perm
+
+
+def test_scenario_value_semantics():
+    arr = np.array([4, 0, 7])
+    scenario = Scenario(arr)
+    arr[0] = 1  # the scenario keeps its own copy
+    assert scenario.releases == (4, 0, 7) and scenario.array.tolist() == [4, 0, 7]
+    with pytest.raises(ValueError):
+        scenario.array[0] = 1
+    for name in ("releases", "array"):
+        with pytest.raises(AttributeError):
+            setattr(scenario, name, (1, 2, 3))
+    assert scenario == Scenario((4, 0, 7)) and hash(scenario) == hash(Scenario([4, 0, 7]))
+    assert scenario != Scenario((4, 0, 8)) and scenario != Schedule((1, 2, 3))
+    assert repr(scenario) == "Scenario(releases=(4, 0, 7))"
+    for fresh in (Scenario(np.array([4, 0, 7])), scenario):  # without and with the tuple built
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == fresh and hash(copy) == hash(fresh)
+        assert not copy.array.flags.writeable
+        assert copy.releases == fresh.releases
+
+
+def test_pickle_size_does_not_depend_on_the_tuples_being_read():
+    n = 3000
+    rng = np.random.default_rng(n)
+    r_lo = rng.integers(0, 3 * n, n)
+    perm = rng.permutation(n) + 1
+    inst = Instance.from_arrays(rng.integers(1, 10, n), r_lo, r_lo + rng.integers(0, 40, n),
+                                UncertaintyModel("U2", 3))
+    values = (
+        (lambda: Scenario(r_lo), lambda s: s.releases),
+        (lambda: Schedule(perm), lambda s: s.perm),
+        (lambda: solve_robust_regret(inst), lambda r: (r.per_candidate, r.schedule.perm)),
+    )
+    for make, read in values:
+        fresh, read_one = make(), make()
+        read(read_one)
+        assert len(pickle.dumps(read_one)) == len(pickle.dumps(fresh))
+        assert read(pickle.loads(pickle.dumps(read_one))) == read(read_one)
 
 
 def test_schedule_repr_lists_ids_up_to_16_jobs():

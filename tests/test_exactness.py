@@ -38,6 +38,7 @@ from robust_makespan import (
     worst_case_scenario_absolute,
 )
 from robust_makespan.cli import CliError, load_instance
+from robust_makespan import regret
 from robust_makespan.core import _PACKED_MIN, MAX_TIME
 from robust_makespan.oracle import (
     brute_max_regret,
@@ -46,7 +47,13 @@ from robust_makespan.oracle import (
     enumerate_feasible_scenarios,
 )
 
-from conftest import count_argsort_calls, make_instance, random_instance, random_schedule
+from conftest import (
+    count_argsort_calls,
+    count_numpy_calls,
+    make_instance,
+    random_instance,
+    random_schedule,
+)
 
 
 def py_makespan(perm, releases, p):
@@ -366,6 +373,57 @@ def test_sort_paths_exact_near_2_62(spread, monkeypatch):
         assert list(erd_schedule(scenario, inst).perm) == py_erd(releases)
         assert optimal_makespan(scenario, inst) == py_optimum(releases, p)
     assert (len(calls) == 0) == (spread == "packed")
+
+
+def check_regret_paths(inst, other):
+    """The fast optima, the regret solve and max_regret of the schedule `other`, each
+    against the Python-int rule on every candidate."""
+    p, lows, upper = py_reference(inst)
+    n = inst.n
+    candidates = [lows[:j] + [upper[j]] + lows[j + 1 :] for j in range(n)]
+    optima = [py_optimum(rel, p) for rel in candidates]
+    assert all_optimal_makespans_fast(inst).tolist() == optima
+    report = solve_robust_regret(inst)
+    perm = sorted(range(1, n + 1), key=lambda jid: (upper[jid - 1] - optima[jid - 1], jid))
+    assert list(report.schedule.perm) == perm
+    for got in (report, max_regret(other, inst)):
+        want = [py_makespan(got.schedule.perm, rel, p) - opt
+                for rel, opt in zip(candidates, optima)]
+        assert list(got.per_candidate) == want
+        assert (got.regret, got.worst_job) == (max(want), want.index(max(want)) + 1)
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_insertion_rank_paths_exact_at_the_span_bound(past, monkeypatch):
+    # releases near 2**62 whose span, max(r_hi) - min(r_lo) + 1, is exactly
+    # _SPAN_PER_JOB * n (ranks counted) or one more (ranks binary-searched)
+    n = _PACKED_MIN
+    span = regret._SPAN_PER_JOB * n + past
+    rng = random.Random(span)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [2**62 + rng.randint(0, span - 200) for _ in range(n)]
+    r_hi = [r + rng.choice((0, 0, 5, 40, 150)) for r in r_lo]
+    r_lo[0], r_hi[-1] = 2**62, 2**62 + span - 1
+    counted = count_numpy_calls(monkeypatch, "bincount")
+    searched = count_numpy_calls(monkeypatch, "searchsorted")
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U2", 2))
+    check_regret_paths(inst, Schedule(rng.sample(range(1, n + 1), n)))
+    # one optima pass each for the fast optima, the solve and max_regret
+    assert (len(counted), len(searched)) == ((3, 0) if past == 0 else (0, 3))
+
+
+def test_regret_key_sort_falls_back_to_lexsort_exactly_near_2_62(monkeypatch):
+    # releases near 0 and near 2**62: the regret keys then span about 2**62,
+    # which leaves no room for the job index in a packed key
+    n = _PACKED_MIN + 1
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    r_lo = [2**62 * (k % 2) + rng.randint(0, 3 * n) for k in range(n)]
+    r_hi = [r + rng.choice((0, 0, 5, 40)) for r in r_lo]
+    calls = count_numpy_calls(monkeypatch, "lexsort")
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U1", 20))
+    check_regret_paths(inst, Schedule(rng.sample(range(1, n + 1), n)))
+    assert len(calls) == 1
 
 
 def test_range_min_table_stores_int64_for_every_input():
