@@ -156,7 +156,8 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
     order, rs = _release_order(r_lo)
     ps = p[order]
     rh = r_hi[order]
-    comp, slack, _, idle_after = _profile_from_sorted(rs, ps)
+    comp, slack, idle_before, idle_after = _profile_from_sorted(rs, ps)
+    del idle_before  # unused here; freed before the table is built
     return order, rs, ps, rh, _optima_sorted_numpy(rs, ps, rh, slack, comp, idle_after)
 
 
@@ -264,7 +265,8 @@ def _regret_report(
     the base makespan plus whatever bump survives. One evaluation of the
     schedule under the all-lower-bounds scenario covers all n candidates.
     """
-    comp, _, idle_before, idle_after = _profile_from_sorted(r_lo, p)
+    comp, slack, idle_before, idle_after = _profile_from_sorted(r_lo, p)
+    del slack  # unused here; freed before the arithmetic below
     start = comp - p
     # the job's start moves from max(previous completion, r_lo) to the same with r_hi
     bump = np.maximum(start - idle_before, r_hi) - start
@@ -304,7 +306,11 @@ def solve_robust_regret(instance: Instance) -> RegretReport:
     order, rs, ps, rh, optima = _all_optima_fast_arrays(p, r_lo, instance.trimmed_r_hi)
     q = _stable_argsort(rh - optima, order)  # release-sorted positions in schedule order
     schedule = Schedule._from_order(order[q])
-    # nearly sequential gathers; the sorted columns are freed before the report runs
-    ps, rs, rh, optima = (column[q] for column in (ps, rs, rh, optima))
-    del order, q
+    del order
+    # nearly sequential gathers; each sorted column is freed once it is gathered
+    ps = ps[q]
+    rs = rs[q]
+    rh = rh[q]
+    optima = optima[q]
+    del q
     return _regret_report(schedule, ps, rs, rh, optima)
