@@ -427,12 +427,6 @@ def _random_check_instance(rng: random.Random) -> Instance:
     return Instance(tuple(jobs), UncertaintyModel(kind, gamma))
 
 
-def _random_schedule(rng: random.Random, n: int) -> Schedule:
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
-    return Schedule(tuple(ids))
-
-
 class _Counterexample(Exception):
     def __init__(self, check: str, instance: Instance, detail: str):
         super().__init__(check)
@@ -457,6 +451,15 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
         )
     counts["fast-vs-naive-optima"] += 1
 
+    report = solve_robust_regret(instance)
+    # the regret entry points trim U1 bounds themselves: raw input gives the trimmed reports
+    if trimmed is not instance:
+        if report != max_regret(report.schedule, instance) or (
+                report != solve_robust_regret(trimmed)):
+            raise _Counterexample("untrimmed-u1-reports", instance,
+                                  "the solve or max_regret of its schedule differs once trimmed")
+        counts["untrimmed-u1-reports"] += 1
+
     if n > 6:
         return
 
@@ -471,7 +474,7 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
             )
         counts["erd-optimality"] += 1
 
-    schedules = [_random_schedule(rng, n) for _ in range(12)]
+    schedules = [Schedule(tuple(rng.sample(range(1, n + 1), n))) for _ in range(12)]
     for schedule in schedules:
         cost = robust_absolute_cost(schedule, trimmed)
         scenario = worst_case_scenario_absolute(schedule, trimmed)
@@ -511,7 +514,7 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
         )
     counts["absolute-solver-optimality"] += 1
 
-    regret = solve_robust_regret(instance).regret
+    regret = report.regret
     want = brute_min_max_regret(instance)
     if regret != want:
         raise _Counterexample(
@@ -568,7 +571,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     counts = dict.fromkeys(
         ("erd-optimality", "worst-case-construction", "candidate-set-sufficiency",
          "absolute-solver-optimality", "regret-solver-optimality", "fast-vs-naive-optima",
-         "shifted-magnitude"),
+         "untrimmed-u1-reports", "shifted-magnitude"),
         0,
     )
     try:

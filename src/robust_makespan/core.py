@@ -377,7 +377,7 @@ class ScheduleEvaluation:
 # cost of about 10 us loses; with a tie column it races np.lexsort, which
 # loses from fewer keys on (crossover tables in CHANGES.md)
 _PACKED_MIN = 1024
-_PACKED_TIE_MIN = 384
+_PACKED_TIE_MIN = 448
 
 
 def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None
@@ -385,29 +385,33 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None
     """(order, values[order]) of a sort of an int64 array; ties go by ascending tie[k], a
     permutation of 0..n-1 that defaults to k, which makes the sort stable.
 
-    From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie), when max - min
-    (in Python integers) fits in 62 - bits bits, bits = (n - 1).bit_length(),
-    this is one ndarray.sort() of ((values - min) << bits) | tie: the tie
-    makes every packed key distinct, so the fast unstable sort gives the
-    order. Its low bits are tie[order], whence order by one gather through
-    the inverse of tie; the sorted values come back by shifting. Otherwise
-    it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
+    From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie), bits = (n - 1).bit_length(),
+    while max - min < 2**(62 - bits) in Python integers, this is one ndarray.sort() of
+    values - min over low fields of `bits` bits: k; or tie[k] and k, while the range leaves
+    room for both; or else tie[k] alone, mapped back through tie's inverse. Every key is
+    distinct, so the unstable sort gives the order, and shifts give back the sorted values.
+    Otherwise it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
     if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
         bits = (n - 1).bit_length()
         low = int(values.min())
-        if int(values.max()) - low < 1 << (62 - bits):
+        span = int(values.max()) - low
+        if span < 1 << (62 - bits):
+            index = np.arange(n, dtype=np.int64)
+            fields = [tie, index] if tie is not None and span < 1 << (62 - 2 * bits) else [
+                index if tie is None else tie]
             packed = values - low
-            packed <<= bits
-            packed |= np.arange(n, dtype=np.int64) if tie is None else tie
+            for column in fields:
+                packed <<= bits
+                packed |= column
             packed.sort()
             order = packed & ((1 << bits) - 1)
-            if tie is not None:
+            if fields[-1] is tie:
                 inverse = np.empty(n, dtype=np.int64)
-                inverse[tie] = np.arange(n, dtype=np.int64)
+                inverse[tie] = index
                 order = inverse[order]
-            packed >>= bits
+            packed >>= bits * len(fields)
             packed += low
             return order, packed
     order = np.argsort(values, kind="stable") if tie is None else np.lexsort((tie, values))

@@ -13,10 +13,9 @@ range-minimum table, in O(n log n) total, in numpy passes at every n. The
 fast path clips the slack at max(p) before building the table (exact, as a
 job's pull never exceeds its p_j) and runs its range queries and arithmetic
 over cache-sized position chunks. Both must agree exactly. The solve stays
-in release-sorted positions (the optima, the key sort, and the report's
-gathers into schedule order, nearly sequential as the schedule stays close
-to the release order) and scatters only the final regrets to job-id order.
-The regret report reuses the same profile pass on the schedule's own order.
+in release-sorted positions (the optima, the key sort, and the nearly
+sequential gathers into schedule order) and scatters only the final regrets
+to job-id order; the report on that order is closed form (`_regret_report`).
 """
 from __future__ import annotations
 
@@ -250,29 +249,23 @@ def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) 
     return np.concatenate(chunks)
 
 
-def _regret_report(
-    schedule: Schedule,
-    p: np.ndarray,
-    r_lo: np.ndarray,
-    r_hi: np.ndarray,
-    optima: np.ndarray,
-) -> RegretReport:
-    """Regret against every single-deviation scenario, via delay propagation.
+def _regret_report(schedule: Schedule, p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray,
+                   optima: np.ndarray) -> RegretReport:
+    """Regret against every single-deviation scenario, in closed form.
 
-    The columns (r_hi trimmed, optima the candidates') are in schedule order.
-    Raising one job inside a fixed order delays its completion by a bump that
-    then decays through the idle gaps after it; the candidate's makespan is
-    the base makespan plus whatever bump survives. One evaluation of the
-    schedule under the all-lower-bounds scenario covers all n candidates.
+    The columns (r_hi trimmed, optima the candidates') are in schedule order. With P the
+    prefix sums of p, the makespan is C_n = max_k (r_k + P_n - P_{k-1}); raising job i changes
+    only its own term, to r_hi_i + P_n - P_{i-1}. No value exceeds sum(p) + max(r_hi) <= MAX_TIME.
     """
-    comp, slack, idle_before, idle_after = _profile_from_sorted(r_lo, p)
-    del slack  # unused here; freed before the arithmetic below
-    start = comp - p
-    # the job's start moves from max(previous completion, r_lo) to the same with r_hi
-    bump = np.maximum(start - idle_before, r_hi) - start
-    worst_makespan = int(comp[-1]) + np.maximum(bump - idle_after, 0)
-    per_candidate = np.empty_like(worst_makespan)
-    per_candidate[schedule.indices] = worst_makespan - optima
+    rest = np.cumsum(p)  # P_i, then P_n - P_{i-1}: the processing from job i on
+    np.subtract(rest[-1], rest, out=rest)
+    rest += p
+    makespan = int((r_lo + rest).max())
+    worst = np.add(r_hi, rest, out=rest)  # the candidates' makespans, in place
+    np.maximum(worst, makespan, out=worst)
+    worst -= optima
+    per_candidate = np.empty_like(worst)
+    per_candidate[schedule.indices] = worst
     worst_job = int(per_candidate.argmax()) + 1
     return RegretReport(
         schedule=schedule,

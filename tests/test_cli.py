@@ -664,6 +664,27 @@ def test_verify_catches_solver_inexact_at_the_64_bit_edge(monkeypatch, capsys):
     assert "2**62" not in err
 
 
+def test_verify_catches_a_report_that_reads_untrimmed_bounds(monkeypatch, capsys):
+    # negative control: a max_regret that raises jobs to their raw U1 upper bounds is exact
+    # on every trimmed copy, so only the check on raw input can see it
+    exact = cli.max_regret
+
+    def untrimmed(schedule, instance):
+        no_budget = UncertaintyModel("U2", instance.n)
+        return exact(schedule, Instance.from_arrays(*instance.columns, no_budget))
+
+    monkeypatch.setattr(cli, "max_regret", untrimmed)
+    assert main(["verify", "--trials", "20", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    err = capsys.readouterr().err
+    assert "FAIL untrimmed-u1-reports: the solve or max_regret of its schedule" in err
+
+
+def test_verify_counts_untrimmed_u1_instances(capsys):
+    assert main(["verify", "--trials", "40", "--seed", "5"]) == EXIT_OK
+    counted = int(capsys.readouterr().out.split("ok untrimmed-u1-reports: ")[1].split()[0])
+    assert 0 < counted < 40
+
+
 def test_verify_without_work_is_usage_error(capsys):
     assert main(["verify", "--trials", "0"]) == EXIT_USAGE
 

@@ -39,7 +39,7 @@ from robust_makespan import (
 )
 from robust_makespan.cli import CliError, load_instance
 from robust_makespan import regret
-from robust_makespan.core import _PACKED_MIN, MAX_TIME
+from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
 from robust_makespan.oracle import (
     brute_max_regret,
     brute_min_max_regret,
@@ -424,6 +424,51 @@ def test_regret_key_sort_falls_back_to_lexsort_exactly_near_2_62(monkeypatch):
     inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel("U1", 20))
     check_regret_paths(inst, Schedule(rng.sample(range(1, n + 1), n)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["U1", "U2"])
+@pytest.mark.parametrize("n", [2, _PACKED_MIN + 1])
+def test_regret_report_exact_at_the_int64_edge(n, kind):
+    # sum(p) + max(trimmed r_hi) == MAX_TIME: with that job first in the schedule, its
+    # candidate's makespan, r_hi + sum(p) in the report's closed form, is MAX_TIME itself
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    top = MAX_TIME - sum(p)
+    r_lo = [top - rng.randint(1, 3 * n) for _ in range(n)]
+    r_hi = [min(top, r + rng.choice((0, 0, 5, 40, 3 * n))) for r in r_lo]
+    r_lo[-1], r_hi[-1] = top - 5, top
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(kind, 20))
+    assert int(inst.trimmed_r_hi.max()) + sum(p) == MAX_TIME
+    perm = [n] + rng.sample(range(1, n), n - 1)
+    raised = r_lo[:-1] + [top]
+    assert py_makespan(perm, raised, p) == MAX_TIME
+    check_regret_paths(inst, Schedule(perm))
+
+
+def test_each_tie_pack_is_the_lexsort(monkeypatch):
+    # one set of keys with ties, stretched to each range bound: below 2**(62 - 2 bits) the
+    # tie and the index both fit under the key (no inverse), below 2**(62 - bits) the tie
+    # alone does (one inverse, built in np.empty), and past that np.lexsort sorts
+    n = _PACKED_MIN + 1
+    bits = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    base = rng.integers(0, 50, n)
+    base[0], base[-1] = 0, 50
+    tie = rng.permutation(n)
+    inverses = count_numpy_calls(monkeypatch, "empty")
+    lexsorts = count_numpy_calls(monkeypatch, "lexsort")
+    for span, want_calls in ((2 ** (62 - 2 * bits) - 1, (0, 0)), (2 ** (62 - 2 * bits), (1, 0)),
+                             (2 ** (62 - bits) - 1, (1, 0)), (2 ** (62 - bits), (0, 1))):
+        keys = base * (span // 50)
+        keys[-1] = span
+        keys -= 2**61  # negative keys: the pack subtracts the minimum
+        want = np.lexsort((tie, keys))
+        inverses.clear()
+        lexsorts.clear()
+        order, ordered = _sorted_order(keys, tie)
+        assert (len(inverses), len(lexsorts)) == want_calls, span
+        assert np.array_equal(order, want), span
+        assert np.array_equal(ordered, keys[want]), span
 
 
 def test_range_min_table_stores_int64_for_every_input():
