@@ -399,8 +399,8 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None
         span = int(values.max()) - low
         if span < 1 << (62 - bits):
             index = np.arange(n, dtype=np.int64)
-            fields = [tie, index] if tie is not None and span < 1 << (62 - 2 * bits) else [
-                index if tie is None else tie]
+            fields = [index] if tie is None else (
+                [tie, index] if span < 1 << (62 - 2 * bits) else [tie])
             packed = values - low
             for column in fields:
                 packed <<= bits
