@@ -7,11 +7,10 @@ Instance files are JSON:
      "jobs": [{"id": 1, "p": 2, "r_lo": 0, "r_hi": 4}, ...]}
 
 A file in exactly the layout `generate` writes (`dump_instance`) is read
-without a JSON parse: one numpy pass pulls its numbers, and the file is
-rendered again and must match byte for byte. Any other file is parsed as
+without a JSON parse, by numpy passes over 8-byte windows that check every
+byte of its job rows and convert their numbers. Any other file is parsed as
 JSON and read in one pass per job field, with the same results and the same
-messages; a complaint about one job names its position in the file or its
-id.
+messages; a complaint about one job names its position in the file or its id.
 
 Solution files are single-line JSON objects with the criterion, the
 permutation, the objective, the attained worst-case scenario, and (for
@@ -121,28 +120,61 @@ def load_instance(path: str | Path) -> Instance:
 def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
     """(kind, gamma, [p, r_lo, r_hi]) of a file in exactly `dump_instance`'s layout, else None.
 
-    After a check of the header, one np.fromstring pass parses every number
-    of the job rows, and the file is rendered again from the result and
-    compared with the input: only a byte-identical file is accepted. Signs,
-    leading zeros, floats, other spacing or key order, CRLF line ends and
-    values past int64 all render differently, so every text the JSON reader
-    could read in another way falls through to it.
+    Each number follows a ": ", and the row literals hold no other ":" and no
+    digit, so a search for ":" finds the numbers and the literals' lengths
+    give their widths. 8-byte windows of the file must then show each literal,
+    1 to 19 digits per number with no leading zero and no value past
+    MAX_TIME, and ids 1..n: only the bytes `_instance_chunks` writes pass.
     """
     head = _INSTANCE_HEAD.match(raw)
-    if head is None or not raw.endswith(_INSTANCE_TAIL):
+    if head is None or not raw.endswith(_INSTANCE_ROW[-1] + _INSTANCE_TAIL):
         return None
-    body = raw[head.end():len(raw) - len(_INSTANCE_TAIL)].translate(_DIGITS_ONLY)
-    values = np.fromstring(body, dtype=np.int64, sep=" ")
-    if not values.size or values.size % 4:
+    stop, buf = len(raw) - len(_INSTANCE_TAIL) - 1, np.frombuffer(raw, np.uint8)
+    # where each number starts (searched 1 MB at a time), and where one would after the last row
+    starts = np.concatenate([[head.end()], *(
+        np.flatnonzero(buf[at:at + 64 * _ROWS] == ord(":")) + (at + 2)
+        for at in range(head.end(), stop, 64 * _ROWS)), [stop + _GAP_LEN[0, 0]]])
+    n = starts.size // 4
+    if starts.size % 4 != 1:
         return None
-    _, *columns = values.reshape(-1, 4).T  # the ids are checked by the comparison
-    kind, gamma = head[1].decode(), int(head[2])
-    at = 0
-    for chunk in _instance_chunks(kind, gamma, *columns):
-        if not raw.startswith(chunk, at):
+    words = np.ndarray((len(raw) - 7,), np.dtype("<u8"), raw, 0, (1,))  # words[i]: raw[i:i + 8]
+    columns = np.empty((3, n), np.int64)
+    for lo in range(0, n, _ROWS // 4):  # _ROWS numbers: each temporary as large as a column's
+        hi = min(lo + _ROWS // 4, n)
+        # (field, row) arrays: each field's constants broadcast along a row
+        at, nxt = (np.ascontiguousarray(s.reshape(-1, 4).T)
+                   for s in (starts[4 * lo:4 * hi], starts[4 * lo + 1:4 * hi + 1]))
+        end = nxt - np.roll(_GAP_LEN, -1)  # one past each number's last digit
+        width = end - at
+        if width.min() < 1 or width.max() > 19:
             return None
-        at += len(chunk)
-    return (kind, gamma, columns) if at == len(raw) else None
+        bad = ((words[at - _GAP_LEN] & _GAP_HEAD[0]) ^ _GAP_HEAD[1]
+               | (words[at - 8] & _GAP_TAIL[0]) ^ _GAP_TAIL[1])
+        if lo == 0:
+            bad[0, 0] = 0  # the first number follows the header
+        value, flags = _read_digits(words, end, width)
+        if ((bad | flags).any() or (value < _LEAST[width]).any() or (value > MAX_TIME).any()
+                or not np.array_equal(value[0], np.arange(lo + 1, hi + 1, dtype=np.uint64))):
+            return None
+        columns[:, lo:hi] = value[1:]
+    return head[1].decode(), int(head[2]), list(columns)
+
+
+def _read_digits(words: np.ndarray, end: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(values, flags) of the `width` bytes before each `end` as decimal digits, with a
+    nonzero flag where one is not a digit. Three multiply-shift-mask steps add up the
+    last 8 in pairs, fours and eights (Langdale and Lemire, 2019); the rest recurse."""
+    x = (words[end - 8] ^ 0x3030303030303030) & _TOP[np.minimum(width, 8)]
+    flags = (x | x + 0x7676767676767676) & 0x8080808080808080  # a byte past 9 sets its top bit
+    x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
+    x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
+    x = (x * 10000 + (x >> 32)) & 0xFFFFFFFF
+    more = width > 8
+    if more.any():
+        high, high_flags = _read_digits(words, end[more] - 8, width[more] - 8)
+        x[more] += high * 10**8
+        flags[more] |= high_flags
+    return x, flags
 
 
 def _json_columns(path: str | Path, raw: bytes) -> tuple[str, int, list[np.ndarray]]:
@@ -205,14 +237,29 @@ def _job_column(path: str | Path, jobs_doc: list, name: str) -> np.ndarray:
     return _int64_column(values, lambda k: f"jobs[{k}]: field {name!r}")
 
 
-_INSTANCE_HEAD = re.compile(
-    rb'\{\n  "version": %d,\n  "uncertainty": \{"kind": "(U[12])", "gamma": ([0-9]{1,19})\},\n'
-    rb'  "jobs": \[\n' % INSTANCE_VERSION
-)
 _INSTANCE_ROW = (b'    {"id": ', b', "p": ', b', "r_lo": ', b', "r_hi": ', b"}")
+_ROW_SEP = b",\n"
+# the header, and the first row up to its id
+_INSTANCE_HEAD = re.compile(rb'\{\n  "version": %d,\n  "uncertainty": \{"kind": "(U[12])", '
+                            rb'"gamma": (0|[1-9][0-9]{0,18})\},\n  "jobs": \[\n' % INSTANCE_VERSION
+                            + re.escape(_INSTANCE_ROW[0]))
 _INSTANCE_TAIL = b"\n  ]\n}\n"
-# every byte but an ASCII digit becomes a space, the separator np.fromstring reads
-_DIGITS_ONLY = bytes(c if 0x30 <= c <= 0x39 else 0x20 for c in range(256))
+
+
+def _window(text: bytes, at: int) -> tuple[int, int]:
+    """(mask, word): text[at:at + 8] as a little-endian word, lanes outside text masked."""
+    lanes = range(max(at, 0), min(at + 8, len(text)))
+    return sum(0xFF << 8 * (i - at) for i in lanes), sum(text[i] << 8 * (i - at) for i in lanes)
+
+
+# the 7 to 14 bytes before each number of a row, and the (masks, words) of their first and last 8
+_GAPS = (_INSTANCE_ROW[-1] + _ROW_SEP + _INSTANCE_ROW[0], *_INSTANCE_ROW[1:-1])
+_GAP_LEN = np.array([[len(gap)] for gap in _GAPS])
+_GAP_HEAD = np.array([_window(gap, 0) for gap in _GAPS], np.uint64).T[..., None]
+_GAP_TAIL = np.array([_window(gap, len(gap) - 8) for gap in _GAPS], np.uint64).T[..., None]
+# the last c bytes of a word, for c = 0..8; the least value of each number of digits
+_TOP = np.array([2**64 - 2 ** (64 - 8 * c) for c in range(9)], np.uint64)
+_LEAST = np.array([0, 0, *(10**k for k in range(1, 19))], np.uint64)
 
 
 def _instance_chunks(kind: str, gamma: int, p: np.ndarray, r_lo: np.ndarray,
@@ -220,7 +267,7 @@ def _instance_chunks(kind: str, gamma: int, p: np.ndarray, r_lo: np.ndarray,
     """The bytes of `dump_instance`, in chunks: a header, one line per job, a tail."""
     yield (f'{{\n  "version": {INSTANCE_VERSION},\n'
            f'  "uncertainty": {{"kind": "{kind}", "gamma": {gamma}}},\n  "jobs": [\n').encode()
-    yield from _render_rows(b",\n", _INSTANCE_ROW, (np.arange(1, p.size + 1), p, r_lo, r_hi))
+    yield from _render_rows(_ROW_SEP, _INSTANCE_ROW, (np.arange(1, p.size + 1), p, r_lo, r_hi))
     yield _INSTANCE_TAIL
 
 

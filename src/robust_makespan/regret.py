@@ -78,25 +78,20 @@ def _release_order(r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sorted_order(r_lo)
 
 
-def _profile_from_sorted(
-    rs: np.ndarray, ps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(completions, slack, idle_before, idle_after) of an order, from its aligned releases
-    and processing times; the slack profile passes the release-sorted order."""
+def _profile_from_sorted(rs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(completions, slack, idle_after) of an order, from its aligned releases and
+    processing times; the slack profile passes the release-sorted order."""
     comp = _completions_arrays(rs, ps)
-    slack = comp - ps  # the start times, until the releases are subtracted
-    idle_before = np.empty_like(comp)
-    idle_before[0] = slack[0]
-    np.subtract(slack[1:], comp[:-1], out=idle_before[1:])
-    idle_after = np.cumsum(idle_before)
-    np.subtract(idle_after[-1], idle_after, out=idle_after)
+    idle = comp - np.cumsum(ps)  # the machine's idle time up to each completion
+    np.subtract(idle[-1], idle, out=idle)
+    slack = comp - ps
     slack -= rs
-    return comp, slack, idle_before, idle_after
+    return comp, slack, idle
 
 
 def _optima_sorted_numpy(
-    rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, slack: np.ndarray,
-    comp: np.ndarray, idle_after: np.ndarray,
+    rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, comp: np.ndarray,
+    slack: np.ndarray, idle_after: np.ndarray,
 ) -> np.ndarray:
     """Per-candidate optima in sorted labels, via vectorized numpy passes.
 
@@ -155,9 +150,7 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
     order, rs = _release_order(r_lo)
     ps = p[order]
     rh = r_hi[order]
-    comp, slack, idle_before, idle_after = _profile_from_sorted(rs, ps)
-    del idle_before  # unused here; freed before the table is built
-    return order, rs, ps, rh, _optima_sorted_numpy(rs, ps, rh, slack, comp, idle_after)
+    return order, rs, ps, rh, _optima_sorted_numpy(rs, ps, rh, *_profile_from_sorted(rs, ps))
 
 
 def all_optimal_makespans_fast(instance: Instance) -> np.ndarray:

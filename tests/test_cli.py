@@ -289,6 +289,123 @@ def test_generated_files_load_without_a_json_parse(tmp_path, monkeypatch, n):
     assert path.read_text() == reference_dump(want)
 
 
+def rendered_columns(raw):
+    """(kind, gamma, [p, r_lo, r_hi]) when raw is exactly what `_instance_chunks` writes for
+    the values its JSON holds, with kind U1 or U2 and a gamma of at most 19 digits; else None."""
+    try:
+        doc = json.loads(raw)
+        kind, gamma = doc["uncertainty"]["kind"], doc["uncertainty"]["gamma"]
+        columns = [np.array([job[key] for job in doc["jobs"]], np.int64)
+                   for key in ("p", "r_lo", "r_hi")]
+        text = b"".join(cli._instance_chunks(kind, gamma, *columns))
+        exact = text == raw and kind in ("U1", "U2") and 0 <= gamma < 10**19
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError):
+        return None
+    return (kind, gamma, columns) if exact else None
+
+
+def assert_reads_as_rendered(path):
+    """The fast reader takes the file exactly when it is a rendering of its own values, with
+    those values, and load_instance gives what the JSON reader alone gives."""
+    raw = path.read_bytes()
+    fast, want = cli._generated_columns(raw), rendered_columns(raw)
+    assert (fast is None) == (want is None)
+    if fast is not None:
+        assert fast[:2] == want[:2]
+        assert all(np.array_equal(a, b) for a, b in zip(fast[2], want[2]))
+    assert load_outcome(path) == json_reader_outcome(pytest.MonkeyPatch(), path)
+    return fast
+
+
+EDIT_BYTES = b'0123456789:,}" \n\x00\xff'
+
+
+@st.composite
+def edited_dumps(draw):
+    """A dumped instance with 1 to 3 bytes replaced, inserted or deleted."""
+    raw = bytearray(dump_instance(draw(instances())).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.sampled_from(EDIT_BYTES))
+        if edit == "replace":
+            raw[at] = byte
+        elif edit == "insert":
+            raw.insert(at, byte)
+        else:
+            del raw[at]
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_dumps(), st.sampled_from([4, 8, 2**14]))
+def test_edited_files_are_read_fast_only_when_rendered_exactly(tmp_path_factory, raw, rows):
+    path = tmp_path_factory.mktemp("edited") / "inst.json"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROWS", rows)  # chunks of 1, 2 or 4096 rows
+        assert_reads_as_rendered(path)
+
+
+@pytest.mark.parametrize("digits", [7, 8, 9, 16, 17, 19])
+def test_numbers_of_every_window_count_read_exactly(tmp_path, digits):
+    low, high = 10 ** (digits - 1), min(10**digits - 1, MAX_TIME)
+    values = [low, high, (low + high) // 3, low + 7]
+    text = b"".join(cli._instance_chunks("U2", 1, *[np.array(values)] * 3)).decode()
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    fast = assert_reads_as_rendered(path)
+    assert [c.tolist() for c in fast[2]] == [values] * 3
+    for old, new in ((f'"r_lo": {low}', f'"r_lo": 0{str(low)[1:]}'),  # a leading zero
+                     (f'"r_lo": {low}', f'"r_lo": }}{str(low)[1:]}'),  # a first digit that is not
+                     (f'"r_lo": {low}', f'"r_lo": {str(low)[:-1]}:'),
+                     (f'"p": {high}', f'"p": {high},')):
+        path.write_text(text.replace(old, new, 1))
+        assert assert_reads_as_rendered(path) is None
+
+
+def test_values_at_and_past_the_64_bit_limit(tmp_path):
+    path = tmp_path / "inst.json"
+    text = dump_instance(make_instance([(1, 0, 0), (1, 0, 2**62)], kind="U1", gamma=2))
+    path.write_text(text.replace(str(2**62), str(MAX_TIME)))
+    fast = assert_reads_as_rendered(path)
+    assert fast[2][2].tolist() == [0, MAX_TIME]
+    assert "64-bit" in load_outcome(path)  # sum(p) + max(r_hi) passes the limit
+    path.write_text(text.replace(str(2**62), str(MAX_TIME + 1)))
+    assert assert_reads_as_rendered(path) is None
+    assert "64-bit" in load_outcome(path)
+
+
+def test_colons_near_the_end_of_the_file_are_refused(tmp_path):
+    text = dump_instance(make_instance([(2, 5, 400), (3, 5, 5)], kind="U1", gamma=7))
+    path = tmp_path / "inst.json"
+    for k in range(1, 11):  # from the space before the last number to the end
+        raw = bytearray(text.encode())
+        raw[-k] = ord(":")
+        # and with one row colon fewer, so that the count stays a multiple of four
+        for edited in (raw, raw.replace(b'"p":', b'"p" ', 1)):
+            path.write_bytes(bytes(edited))
+            assert assert_reads_as_rendered(path) is None
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_files_across_the_chunk_seams(tmp_path, extra):
+    n = cli._ROWS + extra
+    path = tmp_path / "gen.json"
+    assert main(["generate", "--n", str(n), "--seed", "5", "--model", "U1", "--gamma", "30",
+                 "--r-range", "0", str(2 * n), "--output", str(path)]) == EXIT_OK
+    text = path.read_text()
+    assert assert_reads_as_rendered(path) is not None
+    first = cli._ROWS // 4 + 1  # the id of the first row of the second chunk
+    seam = text.index(f'{{"id": {first},')
+    for edited, taken in ((text[:seam] + text[seam:].replace('"p": ', '"p": 9', 1), True),
+                          (text[:seam] + text[seam:].replace(str(first), str(first + 1), 1), False),
+                          (text[:seam] + text[seam:].replace('"p": ', '"p":  ', 1), False),
+                          (text[:-12] + text[-12:].replace("}", "]", 1), False)):
+        path.write_text(edited)
+        assert (assert_reads_as_rendered(path) is not None) == taken
+
+
 def list_payload(payload):
     """The payload with every array as a list, as json.dumps takes it."""
     return {key: list_payload(value) if isinstance(value, dict)

@@ -35,7 +35,9 @@ def slack_profile(inst):
     """The all-lower-bounds profile, per release-sorted position, as Python tuples."""
     p, r_lo, _ = inst.columns
     order, rs = regret._release_order(r_lo)
-    comp, slack, idle_before, idle_after = regret._profile_from_sorted(rs, p[order])
+    comp, slack, idle_after = regret._profile_from_sorted(rs, p[order])
+    starts = slack + rs
+    idle_before = starts - np.concatenate([[0], comp[:-1]])
     return SimpleNamespace(
         order=tuple((order + 1).tolist()),
         completions=tuple(comp.tolist()),
