@@ -357,7 +357,7 @@ def test_numbers_of_every_window_count_read_exactly(tmp_path, digits):
     fast = assert_reads_as_rendered(path)
     assert [c.tolist() for c in fast[2]] == [values] * 3
     for old, new in ((f'"r_lo": {low}', f'"r_lo": 0{str(low)[1:]}'),  # a leading zero
-                     (f'"r_lo": {low}', f'"r_lo": }}{str(low)[1:]}'),  # a first digit that is not
+                     (f'"r_lo": {low}', f'"r_lo": }}{str(low)[1:]}'),  # a first byte that is no digit
                      (f'"r_lo": {low}', f'"r_lo": {str(low)[:-1]}:'),
                      (f'"p": {high}', f'"p": {high},')):
         path.write_text(text.replace(old, new, 1))
