@@ -130,7 +130,7 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
     if head is None or not raw.endswith(_INSTANCE_ROW[-1] + _INSTANCE_TAIL):
         return None
     stop, buf = len(raw) - len(_INSTANCE_TAIL) - 1, np.frombuffer(raw, np.uint8)
-    # where each number starts (searched 1 MB at a time), and where one would after the last row
+    # each number's start (searched 1 MB at a time), and where one would start after the last row
     starts = np.concatenate([[head.end()], *(
         np.flatnonzero(buf[at:at + 64 * _ROWS] == ord(":")) + (at + 2)
         for at in range(head.end(), stop, 64 * _ROWS)), [stop + _GAP_LEN[0, 0]]])
