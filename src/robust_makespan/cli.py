@@ -522,11 +522,11 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
         counts["erd-optimality"] += 1
 
     schedules = [Schedule(tuple(rng.sample(range(1, n + 1), n))) for _ in range(12)]
+    _, upper = extreme_scenarios(trimmed)
     for schedule in schedules:
         cost = robust_absolute_cost(schedule, trimmed)
         scenario = worst_case_scenario_absolute(schedule, trimmed)
         ev = evaluate(schedule, scenario, trimmed)
-        _, upper = extreme_scenarios(trimmed)
         crit = evaluate(schedule, upper, trimmed).critical_position
         jid = schedule.perm[crit - 1]
         suffix = int(trimmed.columns[0][schedule.indices[crit - 1 :]].sum())

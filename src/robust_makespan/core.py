@@ -311,6 +311,9 @@ class Scenario(_StoredOnce):
         return tuple(self.array.tolist())
 
     def __repr__(self) -> str:
+        n = self.array.size
+        if n > 16:
+            return f"<Scenario n={n}>"
         return f"Scenario(releases={self.releases})"
 
 

@@ -7,15 +7,14 @@ reduces to sorting jobs by (latest release date) minus (optimal makespan of
 the job's single-deviation scenario).
 
 Those n per-scenario optima are computed two ways: a reference path that
-re-sorts and re-evaluates each scenario, and a fast path that reads every
-optimum off a slack profile of the all-lower-bounds schedule plus a
-range-minimum table, in O(n log n) total, in numpy passes at every n. The
-fast path clips the slack at max(p) before building the table (exact, as a
-job's pull never exceeds its p_j) and runs its range queries and arithmetic
-over cache-sized position chunks. Both must agree exactly. The solve stays
-in release-sorted positions (the optima, the key sort, and the nearly
-sequential gathers into schedule order) and scatters only the final regrets
-to job-id order; the report on that order is closed form (`_regret_report`).
+re-sorts and re-evaluates each scenario, and a fast path, O(n log n) in numpy
+passes at every n, that prices every makespan in one closed form: max_k (r_k +
+the work from k on). Each optimum is then the all-lower-bounds makespan, that
+plus a range minimum over the terms' gaps below it, or the raised job's own
+term (`_optima_sorted_numpy`). Both must agree exactly. The solve stays in
+release-sorted positions (the optima, the key sort, and the nearly sequential
+gathers into schedule order) and scatters only the final regrets to job-id
+order; the report on that order uses the same form (`_regret_report`).
 """
 from __future__ import annotations
 
@@ -32,7 +31,6 @@ from .core import (
     _PACKED_MIN,
     _StoredOnce,
     _check_covers,
-    _completions_arrays,
     _sorted_order,
     _stable_argsort,
     evaluate,
@@ -40,7 +38,7 @@ from .core import (
 )
 from .rmq import IntervalMinTable
 
-# positions per chunk of the fast path's range queries and bump arithmetic:
+# positions per chunk of the fast path's range queries and arithmetic:
 # the chunk's int64 temporaries stay in L2
 _CHUNK = 2**14
 
@@ -78,30 +76,36 @@ def _release_order(r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sorted_order(r_lo)
 
 
-def _profile_from_sorted(rs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(completions, slack, idle_after) of an order, from its aligned releases and
-    processing times; the slack profile passes the release-sorted order."""
-    comp = _completions_arrays(rs, ps)
-    idle = comp - np.cumsum(ps)  # the machine's idle time up to each completion
-    np.subtract(idle[-1], idle, out=idle)
-    slack = comp - ps
-    slack -= rs
-    return comp, slack, idle
+def _profile_from_sorted(rs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rest, gap) of an order, from its aligned releases and processing times.
+
+    rest[k] is the work from position k on, with rest[n] = 0; the makespan is
+    the largest term rs[k] + rest[k], and gap[k] is how far term k falls below
+    it, so the makespan is rs[0] + rest[0] + gap[0].
+    """
+    rest = np.empty(rs.size + 1, dtype=np.int64)
+    rest[0] = 0
+    np.cumsum(ps, out=rest[1:])
+    np.subtract(rest[-1], rest, out=rest)
+    gap = np.add(rs, rest[:-1])
+    np.subtract(gap.max(), gap, out=gap)
+    return rest, gap
 
 
-def _optima_sorted_numpy(
-    rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, comp: np.ndarray,
-    slack: np.ndarray, idle_after: np.ndarray,
-) -> np.ndarray:
+def _optima_sorted_numpy(rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, rest: np.ndarray,
+                         gap: np.ndarray) -> np.ndarray:
     """Per-candidate optima in sorted labels, via vectorized numpy passes.
 
-    The pull is min(p_j, range minimum), so slack above max(p) cannot change
-    it: the table is built on slack clipped there, which turns long runs of
-    large slack into ties that its suffix-minimum shortcut answers. The
-    insertion ranks, searchsorted(rs, rh, side="right"), come first: counted
-    over the release span (Knuth's distribution counting) while it is at most
-    `_SPAN_PER_JOB` * n, else binary-searched. The queries and the arithmetic
-    run over position chunks of `_CHUNK`, so their temporaries stay in cache.
+    Raising job j from 1-based position a to just after position s (its insertion rank)
+    adds p_j to the terms of (a, s], replaces its own term by rh_j + p_j + rest[s] and
+    leaves the others at most the base makespan, below which no optimum falls; so
+    M_j = base + max(0, p_j - min(gap over (a, s]), rh_j + p_j + rest[s] - base). A gap
+    above max(p) cannot lift: the table holds the gaps clipped there (in place), which
+    turns long runs of large gaps into ties that its suffix-minimum shortcut answers.
+    The ranks, searchsorted(rs, rh, side="right"), are counted over the release span
+    (Knuth's distribution counting) while it is at most `_SPAN_PER_JOB` * n, else
+    binary-searched. The queries and the arithmetic run over position chunks of
+    `_CHUNK`, so their temporaries stay in cache.
     """
     n = rs.size
     span = int(rh.max()) - int(rs[0]) + 1
@@ -111,28 +115,21 @@ def _optima_sorted_numpy(
         ranks = np.bincount(rs - rs[0], minlength=span)
         np.cumsum(ranks, out=ranks)
         ranks = ranks[rh - rs[0]]  # frees the counts before the table is built
-    table = IntervalMinTable(np.minimum(slack, int(ps.max())))
-    base = int(comp[-1])
+    base = int(rs[0] + rest[0] + gap[0])
+    table = IntervalMinTable(np.minimum(gap, int(ps.max()), out=gap))
     out = np.empty(n, dtype=np.int64)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
-        raised = rh[a:b]
         p_chunk = ps[a:b]
-        # new 1-based position of each raised job: last slot whose lower bound it passes
-        insert_at = ranks[a:b]
-        # empty ranges (job stays put) fall back to p_j via the query sentinel
-        pull = np.minimum(
-            p_chunk, table.range_min_many(np.arange(a + 2, b + 2, dtype=np.int64), insert_at)
-        )
-        slot = insert_at - 1
-        bump = raised - comp[slot] + pull
-        np.maximum(bump, 0, out=bump)
-        bump += p_chunk
-        bump -= pull
-        bump -= idle_after[slot]
-        np.maximum(bump, 0, out=bump)
-        bump += base
-        out[a:b] = bump
+        hi = ranks[a:b]  # new 1-based position of each raised job: the last release it passes
+        # empty ranges (job stays put) read the query sentinel, so their lift is negative
+        lift = p_chunk - table.range_min_many(np.arange(a + 2, b + 2, dtype=np.int64), hi)
+        lift += base
+        own = rest[hi]
+        own += rh[a:b]
+        own += p_chunk
+        np.maximum(own, lift, out=own)
+        np.maximum(own, base, out=out[a:b])
     return out
 
 
@@ -141,11 +138,8 @@ def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
     """(order, rs, ps, rh, optima): the release order by (r_lo, id), the columns gathered
     into it, and the optimum of every single-deviation scenario, in the same labels.
 
-    Raising job j to its upper bound slides it to a later position; everything
-    it used to block can move earlier by at most the minimum slack in between
-    (and never more than p_j), and the delay it causes at its new position is
-    absorbed by whatever idle time remains afterwards. All of that is read off
-    the all-lower-bounds profile with range-minimum queries.
+    Every optimum is read off the all-lower-bounds profile (`_profile_from_sorted`)
+    with one range-minimum query per raised job (`_optima_sorted_numpy`).
     """
     order, rs = _release_order(r_lo)
     ps = p[order]
@@ -246,15 +240,14 @@ def _regret_report(schedule: Schedule, p: np.ndarray, r_lo: np.ndarray, r_hi: np
                    optima: np.ndarray) -> RegretReport:
     """Regret against every single-deviation scenario, in closed form.
 
-    The columns (r_hi trimmed, optima the candidates') are in schedule order. With P the
-    prefix sums of p, the makespan is C_n = max_k (r_k + P_n - P_{k-1}); raising job i changes
-    only its own term, to r_hi_i + P_n - P_{i-1}. No value exceeds sum(p) + max(r_hi) <= MAX_TIME.
+    The columns (r_hi trimmed, optima the candidates') are in schedule order. The makespan is
+    max_k (r_k + rest[k]), with rest from `_profile_from_sorted`; raising job i changes only its
+    own term, to r_hi_i + rest[i]. No value exceeds sum(p) + max(r_hi) <= MAX_TIME.
     """
-    rest = np.cumsum(p)  # P_i, then P_n - P_{i-1}: the processing from job i on
-    np.subtract(rest[-1], rest, out=rest)
-    rest += p
-    makespan = int((r_lo + rest).max())
-    worst = np.add(r_hi, rest, out=rest)  # the candidates' makespans, in place
+    rest, gap = _profile_from_sorted(r_lo, p)
+    makespan = int(r_lo[0] + rest[0] + gap[0])
+    del gap
+    worst = np.add(r_hi, rest[:-1], out=rest[:-1])  # the candidates' makespans, in place
     np.maximum(worst, makespan, out=worst)
     worst -= optima
     per_candidate = np.empty_like(worst)

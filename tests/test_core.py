@@ -534,6 +534,13 @@ def test_schedule_repr_lists_ids_up_to_16_jobs():
     assert repr(Schedule(range(1, 18))) == "<Schedule n=17>"
 
 
+def test_scenario_repr_lists_releases_up_to_16_jobs():
+    assert eval(repr(Scenario(range(16)))) == Scenario(range(16))
+    big = Scenario(range(17))
+    assert repr(big) == "<Scenario n=17>"
+    assert "releases" not in big.__dict__  # the tuple is not built for the repr
+
+
 def test_schedule_requires_integer_ids():
     with pytest.raises(ValueError, match="integer"):
         Schedule((1.0, 2.0))

@@ -32,19 +32,19 @@ from conftest import make_instance, random_instance, random_schedule
 
 
 def slack_profile(inst):
-    """The all-lower-bounds profile, per release-sorted position, as Python tuples."""
+    """The all-lower-bounds profile, per release-sorted position, as Python tuples: the work
+    from each position on (`rest`, one entry longer) and each term's slack below the makespan
+    (`gap`); every term rs[k] + rest[k] plus its gap is the base makespan."""
     p, r_lo, _ = inst.columns
     order, rs = regret._release_order(r_lo)
-    comp, slack, idle_after = regret._profile_from_sorted(rs, p[order])
-    starts = slack + rs
-    idle_before = starts - np.concatenate([[0], comp[:-1]])
+    rest, gap = regret._profile_from_sorted(rs, p[order])
+    bases = set((rs + rest[:-1] + gap).tolist())
+    assert len(bases) == 1
     return SimpleNamespace(
         order=tuple((order + 1).tolist()),
-        completions=tuple(comp.tolist()),
-        slack=tuple(slack.tolist()),
-        idle_before=tuple(idle_before.tolist()),
-        idle_after=tuple(idle_after.tolist()),
-        base_makespan=int(comp[-1]),
+        rest=tuple(rest.tolist()),
+        gap=tuple(gap.tolist()),
+        base_makespan=bases.pop(),
     )
 
 
@@ -131,30 +131,26 @@ def test_slack_profile_by_hand():
     inst = make_instance([(3, 0, 6), (1, 1, 1), (2, 5, 5)])
     prof = slack_profile(inst)
     assert prof.order == (1, 2, 3)
-    assert prof.completions == (3, 4, 7)
-    assert prof.slack == (0, 2, 0)
-    assert prof.idle_before == (0, 0, 1)
-    assert prof.idle_after == (1, 1, 0)
+    assert prof.rest == (6, 3, 2, 0)
+    assert prof.gap == (1, 3, 0)  # terms 6, 4 and 7
     assert prof.base_makespan == 7
 
 
 def test_slack_profile_zero_releases():
     inst = make_instance([(4, 0, 0), (2, 0, 0), (1, 0, 0)])
     prof = slack_profile(inst)
-    assert prof.idle_before == (0, 0, 0)
-    assert prof.idle_after == (0, 0, 0)
-    assert prof.slack == tuple(
-        c - inst.jobs[j - 1].p for c, j in zip(prof.completions, prof.order)
-    )
+    assert prof.rest == (7, 3, 1, 0)
+    # with every release at 0, a term's gap is the work before it
+    assert prof.gap == (0, 4, 6)
+    assert prof.base_makespan == 7
 
 
 def test_slack_profile_single_job():
     inst = make_instance([(2, 5, 9)])
     prof = slack_profile(inst)
-    assert prof.completions == (7,)
-    assert prof.slack == (0,)
-    assert prof.idle_before == (5,)
-    assert prof.idle_after == (0,)
+    assert prof.rest == (2, 0)
+    assert prof.gap == (0,)
+    assert prof.base_makespan == 7
 
 
 def test_slack_profile_recurrences_hold():
@@ -166,18 +162,15 @@ def test_slack_profile_recurrences_hold():
         # order sorts by lower release bound with id ties
         lows = [inst.jobs[j - 1].r_lo for j in prof.order]
         assert lows == sorted(lows)
+        assert len(prof.rest) == n + 1 and prof.rest[n] == 0
         prev = 0
         for i in range(n):
             job = inst.jobs[prof.order[i] - 1]
-            comp = max(prev, job.r_lo) + job.p
-            assert prof.completions[i] == comp
-            assert prof.slack[i] == comp - job.r_lo - job.p >= 0
-            assert prof.idle_before[i] == max(job.r_lo - prev, 0)
-            prev = comp
-        assert prof.idle_after[n - 1] == 0
-        for i in range(n - 1):
-            assert prof.idle_after[i] == prof.idle_after[i + 1] + prof.idle_before[i + 1]
-        assert prof.base_makespan == prof.completions[-1]
+            assert prof.rest[i] == job.p + prof.rest[i + 1]
+            prev = max(prev, job.r_lo) + job.p
+        assert min(prof.gap) == 0
+        assert prof.base_makespan == prev
+        assert prof.base_makespan == optimal_makespan(Scenario(inst.columns[1]), inst)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,25 @@ def test_all_optima_never_below_base_makespan():
     for _ in range(80):
         inst = normalize_u1(random_instance(rng))
         base = slack_profile(inst).base_makespan
+        assert base == optimal_makespan(Scenario(inst.columns[1]), inst)
         assert all(m >= base for m in all_optimal_makespans_fast(inst))
+
+
+def test_all_optima_each_term_binds():
+    # optimum = max(base, base + p_j - min(gap over (a, s]), rh_j + p_j + rest[s])
+    inst = make_instance([(3, 0, 6), (1, 1, 1), (2, 5, 9)])
+    prof = slack_profile(inst)
+    assert prof.base_makespan == 7 and prof.gap == (1, 3, 0) and prof.rest == (6, 3, 2, 0)
+    # job 1 passes both others (s = 3) and lifts the tight term 3: 7 + 3 - 0, its own 6 + 3 + 0
+    # job 2 stays put: the base, its own term being 1 + 1 + 2
+    # job 3 stays last: its own term 9 + 2 + 0
+    assert all_optimal_makespans_naive(inst).tolist() == [10, 7, 11]
+    assert all_optimal_makespans_fast(inst).tolist() == [10, 7, 11]
+    # terms 1 + 5 and 4 + 3: the base binds for job 1 (own 1 + 2 + 3), job 2's own term 5 + 3
+    inst = Instance.from_arrays([2, 3], [1, 4], [1, 5], UncertaintyModel("U2", 1))
+    assert slack_profile(inst).base_makespan == 7
+    assert all_optimal_makespans_naive(inst).tolist() == [7, 8]
+    assert all_optimal_makespans_fast(inst).tolist() == [7, 8]
 
 
 def test_naive_parallel_merge_is_deterministic():
