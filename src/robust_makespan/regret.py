@@ -18,7 +18,6 @@ order; the report on that order uses the same form (`_regret_report`).
 """
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -108,15 +107,14 @@ def _optima_sorted_numpy(rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, rest: n
     `_CHUNK`, so their temporaries stay in cache.
     """
     n = rs.size
-    span = int(rh.max()) - int(rs[0]) + 1
-    if n < _PACKED_MIN or span > _SPAN_PER_JOB * n:
+    if n < _PACKED_MIN or (span := int(rh.max()) - int(rs[0]) + 1) > _SPAN_PER_JOB * n:
         ranks = np.searchsorted(rs, rh, side="right")
     else:
         ranks = np.bincount(rs - rs[0], minlength=span)
         np.cumsum(ranks, out=ranks)
         ranks = ranks[rh - rs[0]]  # frees the counts before the table is built
     base = int(rs[0] + rest[0] + gap[0])
-    table = IntervalMinTable(np.minimum(gap, int(ps.max()), out=gap))
+    table = IntervalMinTable._adopt(np.minimum(gap, int(ps.max()), out=gap))
     out = np.empty(n, dtype=np.int64)
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
@@ -230,6 +228,7 @@ def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) 
         for i in range(workers)
         if bounds[i] < bounds[i + 1]
     ]
+    import multiprocessing  # only here, so that importing the package leaves it out
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(len(tasks)) as pool:
         chunks = pool.starmap(_naive_chunk, tasks)

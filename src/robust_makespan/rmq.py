@@ -12,11 +12,13 @@ keeps a suffix-minimum index: `suffix[i] = min(values[i:])` and `first[i]`,
 the first position k >= i holding that minimum. A range [lo, hi] that
 contains `first[lo - 1]` has the suffix minimum as its minimum, so
 `range_min_many` answers those ranges with one gather and walks the blocks
-only for the rest, level by level for all of them at once in numpy. The
+only for the rest, level by level for all of them at once in numpy; the
+block levels are built on the first range the index cannot answer. The
 per-query walk (`range_min`, `consumed_blocks`) is its reference.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,21 +32,23 @@ class IntervalMinTable:
     """Immutable block-minima table over an int64 value vector.
 
     Takes integers only, as `Instance.from_arrays` takes a column: floats,
-    bools and values outside int64 raise ValueError.
+    bools and values outside int64 raise ValueError. The suffix index is
+    built here; the block levels on the first range it cannot answer.
     """
 
     def __init__(self, values: Sequence[int] | np.ndarray):
-        arr = _array_column(values, "values").copy()
+        self._build(_array_column(values, "values").copy())
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> IntervalMinTable:
+        """For solvers: the table over an int64 array they hand over, unchecked and uncopied."""
+        table = object.__new__(cls)
+        table._build(values)
+        return table
+
+    def _build(self, arr: np.ndarray) -> None:
         self.n = int(arr.size)
-        # levels[k][i] = min(values[i * 2**k : (i + 1) * 2**k]); partial tail
-        # blocks are not stored, the query walk never needs them
-        levels = [arr]
-        cur = levels[0]
-        while cur.size >= 2:
-            full = (cur.size // 2) * 2
-            cur = np.minimum(cur[0:full:2], cur[1:full:2])
-            levels.append(cur)
-        self.levels = levels
+        self._values = arr
         # suffix minima and the first position attaining each: first[i] is
         # the nearest k >= i with values[k] == suffix[k]; no position in
         # between holds its own suffix minimum, so suffix[i] == suffix[k]
@@ -53,6 +57,17 @@ class IntervalMinTable:
         starts = np.where(arr == suffix, np.arange(self.n, dtype=index_dtype), self.n)
         self.suffix = suffix
         self.first = np.minimum.accumulate(starts[::-1])[::-1]
+
+    @cached_property
+    def levels(self) -> list[np.ndarray]:
+        """levels[k][i] = min of the i-th full block of length 2**k; built on first read."""
+        levels = [self._values]
+        cur = levels[0]
+        while cur.size >= 2:
+            full = (cur.size // 2) * 2
+            cur = np.minimum(cur[0:full:2], cur[1:full:2])
+            levels.append(cur)
+        return levels
 
     def consumed_blocks(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """Blocks (start, level) the two-phase walk visits for [lo, hi] (1-based, inclusive).
@@ -97,9 +112,9 @@ class IntervalMinTable:
 
         A non-empty range with `first[lo - 1] < hi` holds the minimum of
         values[lo - 1:], so its answer is `suffix[lo - 1]`. Every other
-        non-empty range consumes exactly the same aligned blocks as the
-        per-query walk, but level-synchronously across those queries (both
-        ends move inward). Empty ranges (lo > hi) yield the int64 maximum.
+        non-empty range consumes the per-query walk's aligned blocks, level by
+        level across those queries (both ends move inward), from levels built
+        for the first of them. Empty ranges (lo > hi) yield the int64 maximum.
         `lo` and `hi` are one-dimensional and hold integers within int64.
         """
         lo = _array_column(lo, "lo")
@@ -110,25 +125,27 @@ class IntervalMinTable:
         nonempty = lo <= hi
         if not nonempty.any():
             return out
-        if lo[nonempty].min() < 1 or hi[nonempty].max() > self.n:
+        if (nonempty & ((lo < 1) | (hi > self.n))).any():
             raise ValueError(f"query ranges out of bounds for n={self.n}")
         # empty ranges may start anywhere; clip them into the index, the
         # mask discards what they read
-        start = np.clip(lo - 1, 0, self.n - 1)
+        start = lo - 1
+        np.maximum(start, 0, out=start)
+        np.minimum(start, self.n - 1, out=start)
         hit = nonempty & (self.first[start] < hi)
         np.copyto(out, self.suffix[start], where=hit)
+        idx = np.nonzero(nonempty & ~hit)[0]
+        if not idx.size:
+            return out
         # the remaining minima accumulate in a compact working set (one
         # scatter into `out` at the end); finished queries are flushed out
         # in batches
-        idx = np.nonzero(nonempty & ~hit)[0]
         cur_lo = lo[idx] - 1
         cur_hi = hi[idx]  # fancy indexing copies; safe to mutate
         # every non-empty range consumes at least one block, so this working
         # sentinel never leaks into `out`
         res = np.full(idx.size, _EMPTY_SENTINEL, dtype=np.int64)
         for level in self.levels:
-            if not idx.size:
-                break
             alive = cur_lo < cur_hi
             take = np.nonzero(alive & ((cur_lo & 1) == 1))[0]
             if take.size:
@@ -152,6 +169,5 @@ class IntervalMinTable:
                 res = res[keep]
             cur_lo >>= 1
             cur_hi >>= 1
-        if idx.size:
-            out[idx] = res
+        out[idx] = res
         return out

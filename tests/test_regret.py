@@ -2,7 +2,10 @@
 import dataclasses
 import pickle
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -283,22 +286,43 @@ def test_naive_parallel_merge_is_deterministic():
     assert np.array_equal(serial, all_optimal_makespans_fast(inst))
 
 
+def test_package_import_leaves_multiprocessing_out():
+    # only the naive reference's worker branch uses it
+    src = str(Path(regret.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import robust_makespan; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]
+
+
 @pytest.fixture
 def rmq_split(monkeypatch):
-    """Count the fast path's range queries: calls, shortcut hits and walked ranges."""
-    seen = {"calls": 0, "hit": 0, "walked": 0}
+    """Count the fast path's range queries: calls, shortcut hits and walked ranges; and,
+    per table, [ranges walked, whether its block levels are built] after each call."""
+    seen = {"calls": 0, "hit": 0, "walked": 0, "tables": {}}
 
     class Spy(IntervalMinTable):
         def range_min_many(self, lo, hi):
             nonempty = lo <= hi
             hit = nonempty & (self.first[np.clip(lo - 1, 0, self.n - 1)] < hi)
+            walked = int((nonempty & ~hit).sum())
             seen["calls"] += 1
             seen["hit"] += int(hit.sum())
-            seen["walked"] += int((nonempty & ~hit).sum())
-            return super().range_min_many(lo, hi)
+            seen["walked"] += walked
+            out = super().range_min_many(lo, hi)
+            row = seen["tables"].setdefault(self, [0, False])
+            row[0] += walked
+            row[1] = "levels" in self.__dict__
+            return out
 
     monkeypatch.setattr(regret, "IntervalMinTable", Spy)
     return seen
+
+
+def _levels_built_iff_walked(seen):
+    return bool(seen["tables"]) and all(
+        built == (walked > 0) for walked, built in seen["tables"].values())
 
 
 def _regime_instance(rng, n, span, kind, w_max, tie_step=1):
@@ -336,6 +360,7 @@ def test_fast_agrees_with_naive_across_load_regimes(monkeypatch, rmq_split, chun
         assert np.array_equal(fast, all_optimal_makespans_naive(inst))
     assert rmq_split["hit"] > 0
     assert rmq_split["walked"] > 0
+    assert _levels_built_iff_walked(rmq_split)
 
 
 def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split):
@@ -350,6 +375,22 @@ def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split):
     assert rmq_split["calls"] == 4
     assert rmq_split["hit"] > 0
     assert rmq_split["walked"] > 0
+    assert _levels_built_iff_walked(rmq_split)
+
+
+def test_lib_narrow_shaped_solve_builds_no_levels(rmq_split):
+    # releases over [0, 2n), widths 0-100, U2 with gamma n/10: the suffix
+    # index answers every non-empty range, so the block levels are never read
+    n = 4096
+    rng = np.random.default_rng(1)
+    r_lo = rng.integers(0, 2 * n, n)
+    inst = Instance.from_arrays(rng.integers(1, 101, n), r_lo, r_lo + rng.integers(0, 101, n),
+                                UncertaintyModel("U2", n // 10))
+    solve_robust_regret(inst)
+    assert rmq_split["hit"] > 0
+    assert rmq_split["walked"] == 0
+    assert [built for _, built in rmq_split["tables"].values()] == [False]
+    assert np.array_equal(all_optimal_makespans_fast(inst), all_optimal_makespans_naive(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from robust_makespan.rmq import IntervalMinTable
 
+_SENTINEL = np.iinfo(np.int64).max
+_I64 = np.iinfo(np.int64)
+
 
 def test_build_levels_by_hand():
     t = IntervalMinTable([5, 2, 7, 1])
@@ -122,6 +125,26 @@ def test_bulk_rejects_out_of_bounds():
     assert t.range_min_many(np.array([3]), np.array([1]))[0] == np.iinfo(np.int64).max
 
 
+def test_empty_table_answers_only_empty_ranges():
+    t = IntervalMinTable([])
+    assert t.n == 0
+    assert t.range_min_many(np.array([1, 5]), np.array([0, 2])).tolist() == [_SENTINEL] * 2
+    for lo, hi in ((1, 1), (0, 0), (-3, 2), (1, 4)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            t.range_min_many(np.array([lo, 3]), np.array([hi, 1]))
+
+
+def test_bulk_bounds_at_the_int64_edges():
+    t = IntervalMinTable([4, 9, 2])
+    # empty ranges may start anywhere, however far past the end
+    lo = np.array([2**62, 2**62, _I64.max, 2])
+    hi = np.array([3, -5, 1, 3])
+    assert t.range_min_many(lo, hi).tolist() == [_SENTINEL] * 3 + [2]
+    for lo, hi in ((_I64.min, 2), (_I64.min, _I64.max), (1, _I64.max), (2, _I64.max)):
+        with pytest.raises(ValueError, match="out of bounds"):
+            t.range_min_many(np.array([2, lo]), np.array([3, hi]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     values=st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=300),
@@ -136,9 +159,6 @@ def test_range_min_matches_naive_scan(values, data):
 
 # ---------------------------------------------------------------------------
 # suffix-minimum shortcut of range_min_many
-
-_SENTINEL = np.iinfo(np.int64).max
-_I64 = np.iinfo(np.int64)
 
 
 def _all_ranges(n):
@@ -235,3 +255,29 @@ def test_shortcut_answers_without_the_block_levels():
     out = t.range_min_many(lo, hi)
     assert out[:-2].tolist() == [values[a - 1] for a in lo[:-2]]
     assert out[-2:].tolist() == [_SENTINEL] * 2
+
+
+def test_shortcut_alone_builds_no_levels():
+    values = list(range(100, 160))
+    t = IntervalMinTable(values)
+    lo, hi = _all_ranges(len(values))
+    t.range_min_many(lo, hi)
+    t.range_min_many(np.array([5, 61]), np.array([4, 60]))
+    assert "levels" not in t.__dict__
+
+
+def test_one_walking_range_builds_the_eager_levels():
+    rng = random.Random(4)
+    for n in (2, 3, 8, 100, 257):
+        values = [rng.randint(-50, 50) for _ in range(n - 1)] + [-51]
+        t = IntervalMinTable(values)
+        # every range that ends before the last entry misses its suffix minimum
+        assert t.range_min_many(np.array([n]), np.array([n])).tolist() == [-51]
+        assert "levels" not in t.__dict__
+        assert t.range_min_many(np.array([1]), np.array([n - 1])).tolist() == [min(values[:-1])]
+        assert "levels" in t.__dict__
+        eager = [
+            [min(values[i << k : (i + 1) << k]) for i in range(n >> k)]
+            for k in range(n.bit_length())
+        ]
+        assert [level.tolist() for level in t.levels] == eager
