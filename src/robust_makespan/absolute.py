@@ -15,8 +15,7 @@ from .core import (
     Scenario,
     Schedule,
     _check_covers,
-    _completions_and_critical,
-    _completions_arrays,
+    _makespan_terms,
     _sorted_order,
 )
 from .uncertainty import candidate_scenario
@@ -27,8 +26,8 @@ def _worst_case(schedule: Schedule, instance: Instance) -> tuple[int, int]:
     job is released at its trimmed upper bound, and the job that makespan rests on."""
     idx = schedule.indices
     _check_covers(instance, idx.size, "perm")
-    comp, crit = _completions_and_critical(instance.trimmed_r_hi, instance.columns[0], idx)
-    return int(comp[-1]), int(idx[crit - 1]) + 1
+    makespan, d = _makespan_terms(instance.trimmed_r_hi[idx], instance.columns[0][idx])
+    return makespan, int(idx[d.size - 1 - int(d[::-1].argmax())]) + 1
 
 
 def robust_absolute_cost(schedule: Schedule, instance: Instance) -> int:
@@ -57,8 +56,5 @@ def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
     returned cost is the worst-case makespan of the returned schedule, which
     no other schedule can beat.
     """
-    p = instance.columns[0]
-    upper = instance.trimmed_r_hi
-    order, sorted_upper = _sorted_order(upper)
-    cost = int(_completions_arrays(sorted_upper, p[order])[-1])
-    return Schedule._from_order(order), cost
+    order, sorted_upper, ps = _sorted_order(instance.trimmed_r_hi, carry=(instance.columns[0],))
+    return Schedule._from_order(order), _makespan_terms(sorted_upper, ps)[0]

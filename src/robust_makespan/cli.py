@@ -46,9 +46,9 @@ from .core import (
     Job,
     Schedule,
     UncertaintyModel,
-    _completions_arrays,
     _erd_makespan_arrays,
     _int64_column,
+    _makespan_terms,
     _sorted_order,
     evaluate,
     optimal_makespan,
@@ -366,7 +366,7 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
         schedule, objective, jid = report.schedule, report.regret, report.worst_job
     releases = _single_deviation(instance, jid)
     idx = schedule.indices
-    attained = int(_completions_arrays(releases[idx], p[idx])[-1])
+    attained = _makespan_terms(releases[idx], p[idx])[0]
     if criterion == "regret":
         attained -= _erd_makespan_arrays(releases, p)
     if attained != objective:

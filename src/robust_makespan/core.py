@@ -17,7 +17,8 @@ column. Each stores only int64 bytes and builds its tuple (`releases`,
 `perm`) on first use; pickles leave the tuples out.
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
-so `_completions_arrays` can never wrap.
+so `_makespan_terms`, which prices every makespan as sum(p) plus one
+max-reduction, can never wrap.
 """
 from __future__ import annotations
 
@@ -378,47 +379,61 @@ class ScheduleEvaluation:
 # from this many keys on, one packed ndarray.sort() beats the timsort behind
 # np.argsort(kind="stable") on int64 keys; below it the packed path's fixed
 # cost of about 10 us loses; with a tie column it races np.lexsort, which
-# loses from fewer keys on (crossover tables in CHANGES.md)
+# loses from fewer keys on; a carried column beats its random gather by the
+# order from _CARRY_MIN keys on (crossover tables in CHANGES.md)
 _PACKED_MIN = 1024
 _PACKED_TIE_MIN = 448
+_CARRY_MIN = 2**15
 
 
-def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(order, values[order]) of a sort of an int64 array; ties go by ascending tie[k], a
-    permutation of 0..n-1 that defaults to k, which makes the sort stable.
+def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry=()
+                  ) -> tuple[np.ndarray, ...]:
+    """(order, values[order], *(column[order] for column in carry)) of a sort of an int64
+    array; ties go by ascending tie[k], a permutation of 0..n-1 that defaults to k, which
+    makes the sort stable. Carried columns must be non-negative.
 
-    From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie), bits = (n - 1).bit_length(),
-    while max - min < 2**(62 - bits) in Python integers, this is one ndarray.sort() of
-    values - min over low fields of `bits` bits: k; or tie[k] and k, while the range leaves
-    room for both; or else tie[k] alone, mapped back through tie's inverse. Every key is
-    distinct, so the unstable sort gives the order, and shifts give back the sorted values.
-    Otherwise it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
+    From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie) this is one ndarray.sort() of
+    values - min with low fields packed under it, one loop over (column, bits) fields: the
+    tie (if any) and the index k, of bits = (n - 1).bit_length() each, then, from
+    `_CARRY_MIN` keys on, each carried column in its max's bit length. Fields are packed in
+    that order while the total, with the key range's bit length, stays within 62 bits: so k
+    alone; tie and k; or tie alone, mapped back through tie's inverse; and the carried columns
+    that fit. Every key is distinct, so the unstable sort gives the order; masks and shifts
+    give back the carried columns and the sorted values, and the rest are gathered. Otherwise
+    it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
     if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
         bits = (n - 1).bit_length()
         low = int(values.min())
-        span = int(values.max()) - low
-        if span < 1 << (62 - bits):
-            index = np.arange(n, dtype=np.int64)
-            fields = [index] if tie is None else (
-                [tie, index] if span < 1 << (62 - 2 * bits) else [tie])
+        room = 62 - (int(values.max()) - low).bit_length()
+        index = np.arange(n, dtype=np.int64)
+        fields = [(index, bits)] if tie is None else [(tie, bits), (index, bits)]
+        if n >= _CARRY_MIN:
+            fields += [(column, int(column.max()).bit_length()) for column in carry]
+        while fields and sum(width for _, width in fields) > room:
+            fields.pop()
+        if fields:
+            top = int(tie is not None and len(fields) > 1)  # the field whose bits give the order
             packed = values - low
-            for column in fields:
-                packed <<= bits
+            for column, width in fields:
+                packed <<= width
                 packed |= column
             packed.sort()
+            carried = []
+            for _, width in fields[:top:-1]:
+                carried.insert(0, packed & ((1 << width) - 1))
+                packed >>= width
             order = packed & ((1 << bits) - 1)
-            if fields[-1] is tie:
+            if fields[top][0] is tie:
                 inverse = np.empty(n, dtype=np.int64)
                 inverse[tie] = index
                 order = inverse[order]
-            packed >>= bits * len(fields)
+            packed >>= bits * (top + 1)
             packed += low
-            return order, packed
+            return order, packed, *carried, *(column[order] for column in carry[len(carried):])
     order = np.argsort(values, kind="stable") if tie is None else np.lexsort((tie, values))
-    return order, values[order]
+    return order, values[order], *(column[order] for column in carry)
 
 
 def _stable_argsort(values: np.ndarray, tie: np.ndarray | None = None) -> np.ndarray:
@@ -449,33 +464,30 @@ def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None 
     return releases
 
 
-def _completions_arrays(releases: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Completion times of a processing order given aligned release/processing arrays.
+def _makespan_terms(releases: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """(makespan, d) of a processing order from its aligned releases and processing times.
 
-    Uses C_i = P_i + max_{k<=i}(r_k - P_{k-1}), the closed form of the
-    start-at-max(previous completion, release) recursion, with the machine
-    free from time 0 (releases are never negative).
+    d[k] = releases[k] - (the work before k), formed in place in one new array, is term k of
+    the makespan max_k (r_k + the work from k on) less sum(p); so the makespan is sum(p) +
+    max(d), and C_k = sum(p[:k + 1]) + max(d[:k + 1]) (the machine is free from time 0, and
+    releases are never negative). Job k starts at its release exactly when d[k] is a prefix
+    maximum, so the critical position is the last argmax of d: d.size - d[::-1].argmax().
     """
-    prefix = np.cumsum(p)
-    return prefix + np.maximum.accumulate(releases - (prefix - p))
-
-
-def _completions_and_critical(
-    releases: np.ndarray, p: np.ndarray, idx: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Completions of the order `idx` (zero-based) from columns indexed by job, and the
-    largest 1-based position whose job completes at its release plus processing time."""
-    rel = releases[idx]
-    ps = p[idx]
-    comp = _completions_arrays(rel, ps)
-    return comp, int(np.flatnonzero(comp == rel + ps)[-1]) + 1
+    d = np.cumsum(p)
+    total = int(d[-1])
+    d -= p
+    np.subtract(releases, d, out=d)
+    return total + int(d[d.argmax()]), d
 
 
 def evaluate(schedule: Schedule, scenario: Scenario, instance: Instance) -> ScheduleEvaluation:
     """Run the completion-time recursion for one order under one scenario."""
     releases = _releases(instance, scenario, schedule)
-    comp, crit = _completions_and_critical(releases, instance.columns[0], schedule.indices)
-    return ScheduleEvaluation(tuple(comp.tolist()), int(comp[-1]), crit)
+    idx = schedule.indices
+    ps = instance.columns[0][idx]
+    makespan, d = _makespan_terms(releases[idx], ps)
+    comp = np.maximum.accumulate(d) + np.cumsum(ps)
+    return ScheduleEvaluation(tuple(comp.tolist()), makespan, d.size - int(d[::-1].argmax()))
 
 
 def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
@@ -485,8 +497,8 @@ def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
 
 def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
     """Makespan of the release-sorted order, straight from the arrays."""
-    order, sorted_releases = _sorted_order(releases)
-    return int(_completions_arrays(sorted_releases, p[order])[-1])
+    _, sorted_releases, ps = _sorted_order(releases, carry=(p,))
+    return _makespan_terms(sorted_releases, ps)[0]
 
 
 def optimal_makespan(scenario: Scenario, instance: Instance) -> int:

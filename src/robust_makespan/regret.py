@@ -70,9 +70,9 @@ def regret_of(schedule: Schedule, scenario: Scenario, instance: Instance) -> int
     return evaluate(schedule, scenario, instance).makespan - optimal_makespan(scenario, instance)
 
 
-def _release_order(r_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, sorted releases) by (release, id)."""
-    return _sorted_order(r_lo)
+def _release_order(r_lo: np.ndarray, *carry: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(order, sorted releases, *carried columns in that order) by (release, id)."""
+    return _sorted_order(r_lo, carry=carry)
 
 
 def _profile_from_sorted(rs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,15 +133,15 @@ def _optima_sorted_numpy(rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, rest: n
 
 def _all_optima_fast_arrays(p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray
                             ) -> tuple[np.ndarray, ...]:
-    """(order, rs, ps, rh, optima): the release order by (r_lo, id), the columns gathered
-    into it, and the optimum of every single-deviation scenario, in the same labels.
+    """(order, rs, ps, rh, optima): the release order by (r_lo, id), the columns in it (p and
+    the width r_hi - r_lo carried through the release sort while they fit, rh = rs + width),
+    and the optimum of every single-deviation scenario, in the same labels.
 
     Every optimum is read off the all-lower-bounds profile (`_profile_from_sorted`)
     with one range-minimum query per raised job (`_optima_sorted_numpy`).
     """
-    order, rs = _release_order(r_lo)
-    ps = p[order]
-    rh = r_hi[order]
+    order, rs, ps, rh = _release_order(r_lo, p, r_hi - r_lo)
+    rh += rs
     return order, rs, ps, rh, _optima_sorted_numpy(rs, ps, rh, *_profile_from_sorted(rs, ps))
 
 

@@ -1,4 +1,4 @@
-"""Shared builders for randomized instance/scenario/schedule fixtures, and an np.argsort spy."""
+"""Shared builders for randomized instance/scenario/schedule fixtures, and numpy spies."""
 from __future__ import annotations
 
 import random
@@ -64,3 +64,18 @@ def count_numpy_calls(monkeypatch, name: str) -> list:
 def count_argsort_calls(monkeypatch) -> list:
     """Route np.argsort through a spy; the returned list grows by one per call."""
     return count_numpy_calls(monkeypatch, "argsort")
+
+
+class GatherSpy(np.ndarray):
+    """An int64 column that counts the gathers (integer-array indexing) taken from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            self.gathers += 1
+        return np.asarray(self)[key]
+
+
+def gather_spy(column) -> GatherSpy:
+    spy = np.asarray(column, dtype=np.int64).view(GatherSpy)
+    spy.gathers = 0
+    return spy

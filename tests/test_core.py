@@ -31,12 +31,20 @@ from robust_makespan import (
     solve_robust_regret,
     worst_case_scenario_absolute,
 )
-from robust_makespan import cli
-from robust_makespan.core import _PACKED_MIN, _PACKED_TIE_MIN, MAX_TIME, _sorted_order
+from robust_makespan import absolute, cli
+from robust_makespan.core import (
+    _CARRY_MIN,
+    _PACKED_MIN,
+    _PACKED_TIE_MIN,
+    MAX_TIME,
+    _makespan_terms,
+    _sorted_order,
+)
 
 from conftest import (
     count_argsort_calls,
     count_numpy_calls,
+    gather_spy,
     make_instance,
     random_instance,
     random_interval_scenario,
@@ -281,6 +289,65 @@ def test_sorted_order_with_a_tie_column_is_the_lexsort(n, monkeypatch):
         assert order.dtype == ordered.dtype == np.int64, name
         assert np.array_equal(order, want), name
         assert np.array_equal(ordered, keys[want]), name
+
+
+@pytest.mark.parametrize("n", [_CARRY_MIN - 1, _CARRY_MIN])
+def test_sorted_order_carries_columns_exactly_when_the_fields_fit(n, monkeypatch):
+    # carried columns of 7, 5 and 0 bits under a key range of key_bits and the index: at 62
+    # bits in all every column is packed; at 63 the 5-bit one and the 0-bit one after it are
+    # gathered; at 63 with the first column all three are; a range of 62 bits leaves no room
+    # for the index, so np.argsort sorts and every column is gathered. Below _CARRY_MIN every
+    # column is gathered, and the index is still packed. The keys sit near 2**62 and tie.
+    bits = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    columns = [rng.integers(0, 2**7, n), rng.integers(0, 2**5, n), np.zeros(n, np.int64)]
+    columns[0][0], columns[1][0] = 2**7 - 1, 2**5 - 1
+    calls = count_argsort_calls(monkeypatch)
+    for key_bits, packed in ((62 - bits - 12, 3), (62 - bits - 11, 1), (62 - bits - 6, 0),
+                             (62, 0)):
+        keys = rng.integers(0, 2**key_bits, n)
+        keys[1], keys[2] = 0, 2**key_bits - 1
+        keys[3::4] = keys[5]
+        keys += 2**62 - 2**key_bits  # every key near 2**62 when the range is narrow
+        spies = [gather_spy(column) for column in columns]
+        calls.clear()
+        order, ordered, *carried = _sorted_order(keys, carry=spies)
+        assert len(calls) == (key_bits == 62), key_bits
+        want = np.argsort(keys, kind="stable")
+        assert [spy.gathers for spy in spies] == (
+            [0] * packed + [1] * (3 - packed) if n >= _CARRY_MIN else [1, 1, 1]), key_bits
+        assert np.array_equal(order, want), key_bits
+        assert np.array_equal(ordered, keys[want]), key_bits
+        for column, got in zip(columns, carried):
+            assert type(got) is np.ndarray and got.dtype == np.int64, key_bits
+            assert np.array_equal(got, column[want]), key_bits
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_makespan_reduction_is_the_completion_recursion(seed):
+    # tie-heavy: releases and processing times from a few values, so many jobs start at
+    # their release and d has many equal maxima; the critical position is the last of them
+    rng = random.Random(seed)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        p = [rng.randint(1, 3) for _ in range(n)]
+        releases = [rng.randint(0, 5) * rng.randint(1, 3) for _ in range(n)]
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        t, completions = 0, []
+        for jid in perm:
+            t = max(t, releases[jid - 1]) + p[jid - 1]
+            completions.append(t)
+        critical = max(k for k, jid in enumerate(perm, start=1)
+                       if completions[k - 1] == releases[jid - 1] + p[jid - 1])
+        idx = np.array(perm) - 1
+        makespan, d = _makespan_terms(np.array(releases)[idx], np.array(p)[idx])
+        assert (makespan, d.size - int(d[::-1].argmax())) == (completions[-1], critical)
+        inst = Instance.from_arrays(p, releases, releases, UncertaintyModel("U2", 1))
+        ev = evaluate(Schedule(perm), Scenario(releases), inst)
+        assert (list(ev.completions), ev.makespan, ev.critical_position) == (
+            completions, completions[-1], critical)
+        assert absolute._worst_case(Schedule(perm), inst) == (completions[-1], perm[critical - 1])
 
 
 def test_fast_paths_never_call_argsort(monkeypatch):

@@ -39,7 +39,7 @@ from robust_makespan import (
 )
 from robust_makespan.cli import CliError, load_instance
 from robust_makespan import regret
-from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
+from robust_makespan.core import _CARRY_MIN, _PACKED_MIN, MAX_TIME, _sorted_order
 from robust_makespan.oracle import (
     brute_max_regret,
     brute_min_max_regret,
@@ -50,6 +50,7 @@ from robust_makespan.oracle import (
 from conftest import (
     count_argsort_calls,
     count_numpy_calls,
+    gather_spy,
     make_instance,
     random_instance,
     random_schedule,
@@ -469,6 +470,67 @@ def test_each_tie_pack_is_the_lexsort(monkeypatch):
         assert (len(inverses), len(lexsorts)) == want_calls, span
         assert np.array_equal(order, want), span
         assert np.array_equal(ordered, keys[want]), span
+
+
+def test_each_carry_pack_is_the_gather(monkeypatch):
+    # a 6-bit column carried beside a tie, one set of keys stretched to each bit edge:
+    # tie, index and column fill 62 bits exactly; one more bit leaves the column to a gather;
+    # then the tie alone packs (one inverse), and past that np.lexsort sorts
+    n = _CARRY_MIN
+    bits = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    base = rng.integers(0, 50, n)
+    base[0], base[-1] = 0, 50
+    tie = rng.permutation(n)
+    column = rng.integers(0, 64, n)
+    column[0] = 63
+    inverses = count_numpy_calls(monkeypatch, "empty")
+    lexsorts = count_numpy_calls(monkeypatch, "lexsort")
+    for span, want_calls in ((2 ** (62 - 2 * bits - 6) - 1, (0, 0, 0)),
+                             (2 ** (62 - 2 * bits - 6), (0, 0, 1)),
+                             (2 ** (62 - bits) - 1, (1, 0, 1)), (2 ** (62 - bits), (0, 1, 1))):
+        keys = base * (span // 50)
+        keys[-1] = span
+        keys += MAX_TIME - span  # the largest key is MAX_TIME itself
+        want = np.lexsort((tie, keys))
+        inverses.clear()
+        lexsorts.clear()
+        spy = gather_spy(column)
+        order, ordered, carried = _sorted_order(keys, tie, carry=(spy,))
+        assert (len(inverses), len(lexsorts), spy.gathers) == want_calls, span
+        assert np.array_equal(order, want), span
+        assert np.array_equal(ordered, keys[want]), span
+        assert np.array_equal(carried, column[want]), span
+
+
+@pytest.mark.parametrize("kind", ["U1", "U2"])
+@pytest.mark.parametrize("n", [2, _CARRY_MIN + 1])
+def test_absolute_entry_points_exact_at_the_int64_edge(n, kind):
+    # max(trimmed r_hi) + sum(p) == MAX_TIME: each makespan, sum(p) + max(d), reaches
+    # MAX_TIME itself without wrapping, and from _CARRY_MIN jobs on p rides the packed sort
+    rng = random.Random(n)
+    p = [rng.randint(1, 9) for _ in range(n)]
+    top = MAX_TIME - sum(p)
+    r_lo = [top - rng.randint(1, 3 * n) for _ in range(n)]
+    r_hi = [min(top, r + rng.choice((0, 0, 5, 40, 3 * n))) for r in r_lo]
+    r_lo[-1], r_hi[-1] = top - 5, top
+    inst = Instance.from_arrays(p, r_lo, r_hi, UncertaintyModel(kind, 20))
+    _, lows, upper = py_reference(inst)
+    assert max(upper) + sum(p) == MAX_TIME
+    sched, cost = solve_robust_absolute(inst)
+    assert list(sched.perm) == py_erd(upper)
+    assert cost == py_makespan(sched.perm, upper, p)
+    first = Schedule([n] + rng.sample(range(1, n), n - 1))  # the job at the top goes first
+    for schedule in (sched, first):
+        completions, critical = py_evaluate(schedule.perm, upper, p)
+        assert robust_absolute_cost(schedule, inst) == completions[-1]
+        raised = schedule.perm[critical - 1]
+        want = [*lows[:raised - 1], upper[raised - 1], *lows[raised:]]
+        assert worst_case_scenario_absolute(schedule, inst).releases == tuple(want)
+    assert robust_absolute_cost(first, inst) == MAX_TIME
+    for releases in (upper, [top] * n):
+        assert optimal_makespan(Scenario(releases), inst) == py_optimum(releases, p)
+    assert optimal_makespan(Scenario([top] * n), inst) == MAX_TIME
 
 
 def test_range_min_table_stores_int64_for_every_input():

@@ -28,10 +28,11 @@ from robust_makespan import (
     solve_robust_regret,
 )
 from robust_makespan import regret
+from robust_makespan.core import _CARRY_MIN
 from robust_makespan.oracle import brute_max_regret, brute_min_max_regret
 from robust_makespan.rmq import IntervalMinTable
 
-from conftest import make_instance, random_instance, random_schedule
+from conftest import gather_spy, make_instance, random_instance, random_schedule
 
 
 def slack_profile(inst):
@@ -391,6 +392,40 @@ def test_lib_narrow_shaped_solve_builds_no_levels(rmq_split):
     assert rmq_split["walked"] == 0
     assert [built for _, built in rmq_split["tables"].values()] == [False]
     assert np.array_equal(all_optimal_makespans_fast(inst), all_optimal_makespans_naive(inst))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_release_sort_carries_p_and_the_width(wide, monkeypatch):
+    # lib-narrow shape: the release range (2n), the index, p (7 bits) and the width
+    # r_hi - r_lo (7 bits) fit in 62 bits, so both columns come out of the packed sort;
+    # lib-wide shape (U1, widths to 2**30 trimmed to gamma = 2**26): the width needs 27 bits
+    # and is gathered, while p is still carried
+    n = _CARRY_MIN + 1
+    rng = np.random.default_rng(n + wide)
+    p = rng.integers(1, 101, n)
+    r_lo = rng.integers(0, 2 * n, n)
+    r_hi = r_lo + rng.integers(0, 2**30 if wide else 101, n)
+    model = UncertaintyModel("U1", 2**26) if wide else UncertaintyModel("U2", n // 10)
+    inst = Instance.from_arrays(p, r_lo, r_hi, model)
+    upper = inst.trimmed_r_hi
+    fields = [int(r_lo.max() - r_lo.min()), n - 1, int(p.max()), int((upper - r_lo).max())]
+    assert (sum(v.bit_length() for v in fields) > 62) == wide
+    spies = []
+    release_order = regret._release_order
+
+    def spying(r_lo, *carry):
+        spies.extend(gather_spy(column) for column in carry)
+        return release_order(r_lo, *spies)
+
+    monkeypatch.setattr(regret, "_release_order", spying)
+    order, rs, ps, rh, optima = regret._all_optima_fast_arrays(p, r_lo, upper)
+    assert [spy.gathers for spy in spies] == [0, int(wide)]
+    want = np.argsort(r_lo, kind="stable")
+    for got, column in ((order, np.arange(n)), (rs, r_lo), (ps, p), (rh, upper)):
+        assert np.array_equal(got, column[want])
+    gathered = regret._profile_from_sorted(r_lo[want], p[want])
+    assert np.array_equal(optima, regret._optima_sorted_numpy(
+        r_lo[want], p[want], upper[want], *gathered))
 
 
 # ---------------------------------------------------------------------------
