@@ -386,7 +386,7 @@ _PACKED_TIE_MIN = 448
 _CARRY_MIN = 2**15
 
 
-def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry=()
+def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tuple = ()
                   ) -> tuple[np.ndarray, ...]:
     """(order, values[order], *(column[order] for column in carry)) of a sort of an int64
     array; ties go by ascending tie[k], a permutation of 0..n-1 that defaults to k, which

@@ -76,6 +76,7 @@ class GatherSpy(np.ndarray):
 
 
 def gather_spy(column) -> GatherSpy:
+    """`column` as an int64 `GatherSpy` that has counted no gathers yet."""
     spy = np.asarray(column, dtype=np.int64).view(GatherSpy)
     spy.gathers = 0
     return spy
