@@ -15,7 +15,7 @@ from .core import (
     Scenario,
     Schedule,
     _check_covers,
-    _makespan_terms,
+    _profile_from_sorted,
     _sorted_order,
 )
 from .uncertainty import candidate_scenario
@@ -26,8 +26,8 @@ def _worst_case(schedule: Schedule, instance: Instance) -> tuple[int, int]:
     job is released at its trimmed upper bound, and the job that makespan rests on."""
     idx = schedule.indices
     _check_covers(instance, idx.size, "perm")
-    makespan, d = _makespan_terms(instance.trimmed_r_hi[idx], instance.columns[0][idx])
-    return makespan, int(idx[d.size - 1 - int(d[::-1].argmax())]) + 1
+    _, term, makespan = _profile_from_sorted(instance.trimmed_r_hi[idx], instance.columns[0][idx])
+    return makespan, int(idx[term.size - 1 - int(term[::-1].argmax())]) + 1
 
 
 def robust_absolute_cost(schedule: Schedule, instance: Instance) -> int:
@@ -57,4 +57,4 @@ def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
     no other schedule can beat.
     """
     order, sorted_upper, ps = _sorted_order(instance.trimmed_r_hi, carry=(instance.columns[0],))
-    return Schedule._from_order(order), _makespan_terms(sorted_upper, ps)[0]
+    return Schedule._from_order(order), _profile_from_sorted(sorted_upper, ps)[2]

@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .absolute import (
-    _worst_case,
     robust_absolute_cost,
     solve_robust_absolute,
     worst_case_scenario_absolute,
@@ -48,7 +47,7 @@ from .core import (
     UncertaintyModel,
     _erd_makespan_arrays,
     _int64_column,
-    _makespan_terms,
+    _profile_from_sorted,
     _sorted_order,
     evaluate,
     optimal_makespan,
@@ -360,13 +359,16 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
     p = instance.columns[0]
     if criterion == "absolute":
         schedule, objective = solve_robust_absolute(instance)
-        _, jid = _worst_case(schedule, instance)
     else:
         report = solve_robust_regret(instance)
         schedule, objective, jid = report.schedule, report.regret, report.worst_job
-    releases = _single_deviation(instance, jid)
     idx = schedule.indices
-    attained = _makespan_terms(releases[idx], p[idx])[0]
+    ps = p[idx]  # p, the trimmed r_hi and the scenario are each gathered in schedule order once
+    if criterion == "absolute":  # the critical job: the last argmax of the upper bounds' terms
+        term = _profile_from_sorted(instance.trimmed_r_hi[idx], ps)[1]
+        jid = int(idx[term.size - 1 - int(term[::-1].argmax())]) + 1
+    releases = _single_deviation(instance, jid)
+    attained = _profile_from_sorted(releases[idx], ps)[2]
     if criterion == "regret":
         attained -= _erd_makespan_arrays(releases, p)
     if attained != objective:

@@ -17,11 +17,16 @@ column. Each stores only int64 bytes and builds its tuple (`releases`,
 `perm`) on first use; pickles leave the tuples out.
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
-so `_makespan_terms`, which prices every makespan as sum(p) plus one
-max-reduction, can never wrap.
+so `_profile_from_sorted`, which prices every makespan as one max-reduction
+over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
+are allowed, that pass and the packed sorts' extrema, packing and unpacking run
+in two halves at once (`_split`), with results identical to one pass; there is
+no setting.
 """
 from __future__ import annotations
 
+import os
+import threading
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -380,10 +385,37 @@ class ScheduleEvaluation:
 # np.argsort(kind="stable") on int64 keys; below it the packed path's fixed
 # cost of about 10 us loses; with a tie column it races np.lexsort, which
 # loses from fewer keys on; a carried column beats its random gather by the
-# order from _CARRY_MIN keys on (crossover tables in CHANGES.md)
+# order from _CARRY_MIN keys on; a pass in halves on two threads beats one pass
+# from _SPLIT_MIN elements on (crossover tables in CHANGES.md)
 _PACKED_MIN = 1024
 _PACKED_TIE_MIN = 448
 _CARRY_MIN = 2**15
+_SPLIT_MIN = 2**18
+
+
+def _split(fn, n: int) -> list:
+    """[fn(0, n)], or [fn(0, n // 2), fn(n // 2, n)] from `_SPLIT_MIN` on when two CPUs are
+    allowed, the first on a thread joined before this returns (its exception is raised here).
+    fn writes disjoint slices and runs numpy only, which releases the GIL in its loops."""
+    if n < _SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
+        return [fn(0, n)]
+    out, errors = [None, None], []
+
+    def first() -> None:
+        try:
+            out[0] = fn(0, n // 2)
+        except BaseException as exc:  # raised below, in the caller's thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=first)
+    worker.start()
+    try:
+        out[1] = fn(n // 2, n)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tuple = ()
@@ -399,38 +431,52 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tupl
     that order while the total, with the key range's bit length, stays within 62 bits: so k
     alone; tie and k; or tie alone, mapped back through tie's inverse; and the carried columns
     that fit. Every key is distinct, so the unstable sort gives the order; masks and shifts
-    give back the carried columns and the sorted values, and the rest are gathered. Otherwise
-    it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
+    give back the carried columns and the sorted values, and the rest are gathered; extrema,
+    packing and unpacking run in halves (`_split`). Otherwise it is np.argsort(kind="stable"),
+    a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
     if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
         bits = (n - 1).bit_length()
-        low = int(values.min())
-        room = 62 - (int(values.max()) - low).bit_length()
-        index = np.arange(n, dtype=np.int64)
-        fields = [(index, bits)] if tie is None else [(tie, bits), (index, bits)]
-        if n >= _CARRY_MIN:
-            fields += [(column, int(column.max()).bit_length()) for column in carry]
+        carry_top = carry if n >= _CARRY_MIN else ()
+        lows, highs, *tops = zip(*_split(lambda a, b: (
+            np.minimum.reduce(values[a:b]), np.maximum.reduce(values[a:b]),
+            *[np.maximum.reduce(c[a:b]) for c in carry_top]), n))
+        low = int(min(lows))
+        room = 62 - (int(max(highs)) - low).bit_length()
+        fields = [(None, bits)] if tie is None else [(tie, bits), (None, bits)]
+        fields += [(column, int(max(peak)).bit_length()) for column, peak in zip(carry_top, tops)]
         while fields and sum(width for _, width in fields) > room:
             fields.pop()
         if fields:
             top = int(tie is not None and len(fields) > 1)  # the field whose bits give the order
-            packed = values - low
-            for column, width in fields:
-                packed <<= width
-                packed |= column
+            packed = np.empty_like(values)
+
+            def pack(a: int, b: int) -> None:
+                seg = np.subtract(values[a:b], low, out=packed[a:b])
+                for column, width in fields:
+                    seg <<= width
+                    seg |= np.arange(a, b, dtype=np.int64) if column is None else column[a:b]
+
+            _split(pack, n)
             packed.sort()
-            carried = []
-            for _, width in fields[:top:-1]:
-                carried.insert(0, packed & ((1 << width) - 1))
-                packed >>= width
-            order = packed & ((1 << bits) - 1)
-            if fields[top][0] is tie:
+            outs = [np.empty_like(packed) for _ in fields[top:]]  # order, then carried columns
+
+            def unpack(a: int, b: int) -> None:
+                seg = packed[a:b]
+                for out, (_, width) in zip(outs[:0:-1], fields[:top:-1]):  # carried, last first
+                    np.bitwise_and(seg, (1 << width) - 1, out=out[a:b])
+                    seg >>= width
+                np.bitwise_and(seg, (1 << bits) - 1, out=outs[0][a:b])
+                seg >>= bits * (top + 1)
+                seg += low
+
+            _split(unpack, n)
+            order, *carried = outs
+            if tie is not None and not top:  # the tie alone was packed
                 inverse = np.empty(n, dtype=np.int64)
-                inverse[tie] = index
+                inverse[tie] = np.arange(n, dtype=np.int64)
                 order = inverse[order]
-            packed >>= bits * (top + 1)
-            packed += low
             return order, packed, *carried, *(column[order] for column in carry[len(carried):])
     order = np.argsort(values, kind="stable") if tie is None else np.lexsort((tie, values))
     return order, values[order], *(column[order] for column in carry)
@@ -464,30 +510,38 @@ def _releases(instance: Instance, scenario: Scenario, schedule: Schedule | None 
     return releases
 
 
-def _makespan_terms(releases: np.ndarray, p: np.ndarray) -> tuple[int, np.ndarray]:
-    """(makespan, d) of a processing order from its aligned releases and processing times.
-
-    d[k] = releases[k] - (the work before k), formed in place in one new array, is term k of
-    the makespan max_k (r_k + the work from k on) less sum(p); so the makespan is sum(p) +
-    max(d), and C_k = sum(p[:k + 1]) + max(d[:k + 1]) (the machine is free from time 0, and
-    releases are never negative). Job k starts at its release exactly when d[k] is a prefix
-    maximum, so the critical position is the last argmax of d: d.size - d[::-1].argmax().
+def _profile_from_sorted(releases: np.ndarray, p: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(rest, term, makespan) of a processing order from its aligned releases and processing
+    times: rest[k] is the work from position k on (rest[n] = 0), term[k] = releases[k] +
+    rest[k] and the makespan is max(term); C_k = max(term[:k + 1]) - rest[k + 1], as the
+    machine is free from time 0 and releases are never negative. Job k starts at its release
+    exactly when term[k] is a prefix maximum, so the critical position is the last argmax of
+    term. Each half (`_split`) sums its own suffixes and adds the work after it.
     """
-    d = np.cumsum(p)
-    total = int(d[-1])
-    d -= p
-    np.subtract(releases, d, out=d)
-    return total + int(d[d.argmax()]), d
+    n = p.size
+    rest = np.empty(n + 1, dtype=np.int64)
+    term = np.empty(n, dtype=np.int64)
+    rest[n] = 0
+
+    def profile(a: int, b: int) -> int:
+        seg = rest[a:b]
+        np.add.accumulate(p[a:b][::-1], out=seg[::-1])  # the work from each position to b
+        if b < n:
+            seg += int(np.add.reduce(p[b:]))
+        half = np.add(releases[a:b], seg, out=term[a:b])
+        return int(half[half.argmax()])
+
+    return rest, term, max(_split(profile, n))
 
 
 def evaluate(schedule: Schedule, scenario: Scenario, instance: Instance) -> ScheduleEvaluation:
     """Run the completion-time recursion for one order under one scenario."""
     releases = _releases(instance, scenario, schedule)
     idx = schedule.indices
-    ps = instance.columns[0][idx]
-    makespan, d = _makespan_terms(releases[idx], ps)
-    comp = np.maximum.accumulate(d) + np.cumsum(ps)
-    return ScheduleEvaluation(tuple(comp.tolist()), makespan, d.size - int(d[::-1].argmax()))
+    rest, term, makespan = _profile_from_sorted(releases[idx], instance.columns[0][idx])
+    comp = np.maximum.accumulate(term) - rest[1:]
+    return ScheduleEvaluation(tuple(comp.tolist()), makespan, term.size - int(term[::-1].argmax()))
 
 
 def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
@@ -498,7 +552,7 @@ def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
 def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
     """Makespan of the release-sorted order, straight from the arrays."""
     _, sorted_releases, ps = _sorted_order(releases, carry=(p,))
-    return _makespan_terms(sorted_releases, ps)[0]
+    return _profile_from_sorted(sorted_releases, ps)[2]
 
 
 def optimal_makespan(scenario: Scenario, instance: Instance) -> int:

@@ -30,7 +30,9 @@ from .core import (
     _PACKED_MIN,
     _StoredOnce,
     _check_covers,
+    _profile_from_sorted,
     _sorted_order,
+    _split,
     _stable_argsort,
     evaluate,
     optimal_makespan,
@@ -75,45 +77,37 @@ def _release_order(r_lo: np.ndarray, *carry: np.ndarray) -> tuple[np.ndarray, ..
     return _sorted_order(r_lo, carry=carry)
 
 
-def _profile_from_sorted(rs: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rest, gap) of an order, from its aligned releases and processing times.
-
-    rest[k] is the work from position k on, with rest[n] = 0; the makespan is
-    the largest term rs[k] + rest[k], and gap[k] is how far term k falls below
-    it, so the makespan is rs[0] + rest[0] + gap[0].
-    """
-    rest = np.empty(rs.size + 1, dtype=np.int64)
-    rest[0] = 0
-    np.cumsum(ps, out=rest[1:])
-    np.subtract(rest[-1], rest, out=rest)
-    gap = np.add(rs, rest[:-1])
-    np.subtract(gap.max(), gap, out=gap)
-    return rest, gap
-
-
 def _optima_sorted_numpy(rs: np.ndarray, ps: np.ndarray, rh: np.ndarray, rest: np.ndarray,
-                         gap: np.ndarray) -> np.ndarray:
+                         term: np.ndarray, base: int) -> np.ndarray:
     """Per-candidate optima in sorted labels, via vectorized numpy passes.
 
     Raising job j from 1-based position a to just after position s (its insertion rank)
     adds p_j to the terms of (a, s], replaces its own term by rh_j + p_j + rest[s] and
     leaves the others at most the base makespan, below which no optimum falls; so
-    M_j = base + max(0, p_j - min(gap over (a, s]), rh_j + p_j + rest[s] - base). A gap
-    above max(p) cannot lift: the table holds the gaps clipped there (in place), which
-    turns long runs of large gaps into ties that its suffix-minimum shortcut answers.
-    The ranks, searchsorted(rs, rh, side="right"), are counted over the release span
-    (Knuth's distribution counting) while it is at most `_SPAN_PER_JOB` * n, else
-    binary-searched. The queries and the arithmetic run over position chunks of
-    `_CHUNK`, so their temporaries stay in cache.
+    M_j = base + max(0, p_j - min(gap over (a, s]), rh_j + p_j + rest[s] - base), where
+    gap = base - term. A gap above max(p) cannot lift: the table holds the gaps clipped there
+    (in the terms' array), which turns long runs of large gaps into ties that its
+    suffix-minimum shortcut answers. The ranks, searchsorted(rs, rh, side="right"), are
+    counted over the values each half's rh can take (Knuth's distribution counting) while the
+    release span is at most `_SPAN_PER_JOB` * n, else binary-searched. The queries and the
+    arithmetic run over position chunks of `_CHUNK`, so their temporaries stay in cache.
     """
     n = rs.size
-    if n < _PACKED_MIN or (span := int(rh.max()) - int(rs[0]) + 1) > _SPAN_PER_JOB * n:
+    if n < _PACKED_MIN or int(rh.max()) - int(rs[0]) + 1 > _SPAN_PER_JOB * n:
         ranks = np.searchsorted(rs, rh, side="right")
     else:
-        ranks = np.bincount(rs - rs[0], minlength=span)
-        np.cumsum(ranks, out=ranks)
-        ranks = ranks[rh - rs[0]]  # frees the counts before the table is built
-    base = int(rs[0] + rest[0] + gap[0])
+        ranks = np.empty_like(rh)
+
+        def count(a: int, b: int) -> None:  # over the values rh[a:b] can take, rs[a] on
+            low, high = int(rs[a]), int(rh[a:b].max())
+            start, stop = rs.searchsorted(low), rs.searchsorted(high, "right")
+            counts = np.bincount(rs[start:stop] - low, minlength=high - low + 1)
+            counts[0] += start
+            np.add.accumulate(counts, out=counts)
+            counts.take(rh[a:b] - low, out=ranks[a:b], mode="clip")  # unbuffered; in range
+
+        _split(count, n)
+    gap = np.subtract(base, term, out=term)  # how far each term falls below the makespan
     table = IntervalMinTable._adopt(np.minimum(gap, int(ps.max()), out=gap))
     out = np.empty(n, dtype=np.int64)
     for a in range(0, n, _CHUNK):
@@ -243,14 +237,18 @@ def _regret_report(schedule: Schedule, p: np.ndarray, r_lo: np.ndarray, r_hi: np
     max_k (r_k + rest[k]), with rest from `_profile_from_sorted`; raising job i changes only its
     own term, to r_hi_i + rest[i]. No value exceeds sum(p) + max(r_hi) <= MAX_TIME.
     """
-    rest, gap = _profile_from_sorted(r_lo, p)
-    makespan = int(r_lo[0] + rest[0] + gap[0])
-    del gap
-    worst = np.add(r_hi, rest[:-1], out=rest[:-1])  # the candidates' makespans, in place
-    np.maximum(worst, makespan, out=worst)
-    worst -= optima
+    rest, worst, makespan = _profile_from_sorted(r_lo, p)
     per_candidate = np.empty_like(worst)
-    per_candidate[schedule.indices] = worst
+    idx = schedule.indices
+
+    def price(a: int, b: int) -> None:  # the candidates' regrets, over the terms, by job id
+        seg = np.add(r_hi[a:b], rest[a:b], out=worst[a:b])
+        np.maximum(seg, makespan, out=seg)
+        seg -= optima[a:b]
+        per_candidate[idx[a:b]] = seg
+
+    _split(price, idx.size)
+    del rest, worst  # freed before the regrets' bytes are copied
     worst_job = int(per_candidate.argmax()) + 1
     return RegretReport(
         schedule=schedule,

@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _array_column, _is_integer
+from .core import _array_column, _is_integer, _split
 
 _EMPTY_SENTINEL = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class IntervalMinTable:
@@ -52,11 +53,18 @@ class IntervalMinTable:
         # suffix minima and the first position attaining each: first[i] is
         # the nearest k >= i with values[k] == suffix[k]; no position in
         # between holds its own suffix minimum, so suffix[i] == suffix[k]
-        suffix = np.minimum.accumulate(arr[::-1])[::-1]
-        index_dtype = np.int32 if self.n < np.iinfo(np.int32).max else np.int64
-        starts = np.where(arr == suffix, np.arange(self.n, dtype=index_dtype), self.n)
-        self.suffix = suffix
-        self.first = np.minimum.accumulate(starts[::-1])[::-1]
+        n = self.n
+        self.suffix = suffix = np.empty_like(arr)
+        self.first = first = np.empty_like(arr, dtype=np.int32 if n < _INT32_MAX else np.int64)
+
+        def index(a: int, b: int) -> None:  # a half's scans, seeded with the rest's minimum
+            k = b + int(arr[b:].argmin()) if b < n else n  # the first position holding it
+            seg = np.minimum(arr[a:b], arr[k]) if b < n else arr[a:b]
+            np.minimum.accumulate(seg[::-1], out=suffix[a:b][::-1])
+            starts = np.where(arr[a:b] == suffix[a:b], np.arange(a, b, dtype=first.dtype), k)
+            np.minimum.accumulate(starts[::-1], out=first[a:b][::-1])
+
+        _split(index, n)
 
     @cached_property
     def levels(self) -> list[np.ndarray]:

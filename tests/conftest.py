@@ -4,8 +4,9 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
-from robust_makespan import Instance, Job, Scenario, Schedule, UncertaintyModel
+from robust_makespan import Instance, Job, Scenario, Schedule, UncertaintyModel, core
 
 
 def make_instance(jobs, kind="U2", gamma=1) -> Instance:
@@ -80,3 +81,11 @@ def gather_spy(column) -> GatherSpy:
     spy = np.asarray(column, dtype=np.int64).view(GatherSpy)
     spy.gathers = 0
     return spy
+
+
+@pytest.fixture
+def split_at(monkeypatch):
+    """A setter for `core._SPLIT_MIN` (at least 2, so that neither half is empty), with two
+    CPUs allowed: from that many elements on, every split pass runs in halves on two threads."""
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+    return lambda n: monkeypatch.setattr(core, "_SPLIT_MIN", n)

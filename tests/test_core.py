@@ -37,7 +37,7 @@ from robust_makespan.core import (
     _PACKED_MIN,
     _PACKED_TIE_MIN,
     MAX_TIME,
-    _makespan_terms,
+    _profile_from_sorted,
     _sorted_order,
 )
 
@@ -326,7 +326,7 @@ def test_sorted_order_carries_columns_exactly_when_the_fields_fit(n, monkeypatch
 @pytest.mark.parametrize("seed", range(4))
 def test_makespan_reduction_is_the_completion_recursion(seed):
     # tie-heavy: releases and processing times from a few values, so many jobs start at
-    # their release and d has many equal maxima; the critical position is the last of them
+    # their release and the terms have many equal maxima; the critical position is the last
     rng = random.Random(seed)
     for _ in range(200):
         n = rng.randint(1, 40)
@@ -341,8 +341,9 @@ def test_makespan_reduction_is_the_completion_recursion(seed):
         critical = max(k for k, jid in enumerate(perm, start=1)
                        if completions[k - 1] == releases[jid - 1] + p[jid - 1])
         idx = np.array(perm) - 1
-        makespan, d = _makespan_terms(np.array(releases)[idx], np.array(p)[idx])
-        assert (makespan, d.size - int(d[::-1].argmax())) == (completions[-1], critical)
+        rest, term, makespan = _profile_from_sorted(np.array(releases)[idx], np.array(p)[idx])
+        assert (makespan, term.size - int(term[::-1].argmax())) == (completions[-1], critical)
+        assert (np.maximum.accumulate(term) - rest[1:]).tolist() == completions
         inst = Instance.from_arrays(p, releases, releases, UncertaintyModel("U2", 1))
         ev = evaluate(Schedule(perm), Scenario(releases), inst)
         assert (list(ev.completions), ev.makespan, ev.critical_position) == (

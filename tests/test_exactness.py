@@ -6,6 +6,7 @@ reference recursion below.
 """
 import json
 import random
+import threading
 from itertools import permutations
 
 import numpy as np
@@ -38,7 +39,7 @@ from robust_makespan import (
     worst_case_scenario_absolute,
 )
 from robust_makespan.cli import CliError, load_instance
-from robust_makespan import regret
+from robust_makespan import absolute, core, regret
 from robust_makespan.core import _CARRY_MIN, _PACKED_MIN, MAX_TIME, _sorted_order
 from robust_makespan.oracle import (
     brute_max_regret,
@@ -612,3 +613,138 @@ def test_lone_numbers_and_strings_raise_value_error():
     # a fractional bound once surfaced as numpy's "negative shift count"
     with pytest.raises(ValueError, match="must be integers"):
         _TABLE.consumed_blocks(1, 2.5)
+
+
+# ---------------------------------------------------------------------------
+# passes in halves (`core._split`): each answer equals the whole pass's, at the split edge
+
+# the patched _SPLIT_MIN: from it on, carried columns also ride the packed sorts
+_SPLIT_EDGE = _CARRY_MIN
+_SPLIT_SIZES = [_SPLIT_EDGE - 1, _SPLIT_EDGE, _SPLIT_EDGE + 1]
+
+
+def whole_and_halves(split_at, run):
+    """[run() with every pass whole, run() with passes from _SPLIT_EDGE elements on in
+    halves]; neither may leave a thread running."""
+    threads = threading.active_count()
+    results = []
+    for at in (2**62, _SPLIT_EDGE):
+        split_at(at)
+        results.append(run())
+        assert threading.active_count() == threads
+    return results
+
+
+def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_at, monkeypatch):
+    split_at(4)
+    threads = threading.active_count()
+    seen = []
+
+    def halves(a, b):
+        seen.append(threading.get_ident())
+        return a, b
+
+    assert core._split(halves, 9) == [(0, 4), (4, 9)]
+    assert len(set(seen)) == 2 and threading.get_ident() in seen
+    assert core._split(halves, 3) == [(0, 3)]
+
+    def fails_in(half):
+        def fn(a, b):
+            if (a == 0) == (half == "worker"):
+                raise KeyError(half)
+            return b
+        return fn
+
+    for half in ("worker", "caller"):
+        with pytest.raises(KeyError, match=half):
+            core._split(fails_in(half), 9)
+        assert threading.active_count() == threads
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0})
+    assert core._split(halves, 9) == [(0, 9)]  # one CPU allowed: the whole pass
+
+
+@pytest.mark.parametrize("n", _SPLIT_SIZES)
+def test_each_sort_layout_is_the_whole_pass_in_halves(n, split_at):
+    # a 6-bit carried column under keys with ties, with and without a tie column; the key
+    # range stretched to each layout's bit edge, with negative keys or keys ending at MAX_TIME
+    bits = (n - 1).bit_length()
+    rng = np.random.default_rng(n)
+    base = rng.integers(0, 50, n)
+    base[0], base[-1] = 0, 50
+    tie = rng.permutation(n)
+    column = rng.integers(0, 64, n)
+    column[0] = 63
+    for span in (2 ** (62 - 2 * bits - 6) - 1, 2 ** (62 - 2 * bits - 6), 2 ** (62 - bits - 6),
+                 2 ** (62 - bits) - 1, 2 ** (62 - bits)):
+        keys = base * (span // 50)
+        keys[-1] = span
+        for shifted in (keys - 2**61, keys + (MAX_TIME - span)):
+            for t in (None, tie):
+                want = np.argsort(shifted, kind="stable") if t is None else np.lexsort((t, shifted))
+                for got in whole_and_halves(split_at,
+                                            lambda: _sorted_order(shifted, t, carry=(column,))):
+                    for part, column_want in zip(got, (want, shifted[want], column[want])):
+                        assert np.array_equal(part, column_want), (span, t is None)
+
+
+@pytest.mark.parametrize("n", _SPLIT_SIZES)
+def test_critical_position_stays_the_last_argmax_across_the_split_point(n, split_at):
+    # unit jobs in a shuffled order, released so that the terms release + work from there on
+    # reach their maximum at positions 2, h - 1 and h, on both sides of the split point h
+    h = n // 2
+    rng = np.random.default_rng(n)
+    perm = (rng.permutation(n) + 1).tolist()
+    top = 3 * n
+    releases = [0] * n
+    for k in (1, h - 1, h):
+        releases[perm[k] - 1] = top - (n - k)
+    p = [1] * n
+    inst = Instance.from_arrays(p, releases, releases, UncertaintyModel("U2", 1))
+    sched = Schedule(perm)
+    completions, critical = py_evaluate(perm, releases, p)
+    assert critical == h + 1 and completions[-1] == top
+    for ev in whole_and_halves(split_at, lambda: evaluate(sched, Scenario(releases), inst)):
+        assert (list(ev.completions), ev.makespan, ev.critical_position) == (
+            completions, top, critical)
+    for worst in whole_and_halves(split_at, lambda: absolute._worst_case(sched, inst)):
+        assert worst == (top, perm[h])
+
+
+@pytest.mark.parametrize("n", _SPLIT_SIZES)
+@pytest.mark.parametrize("shape", ["narrow", "wide", "sparse", "edge"])
+def test_solver_entry_points_are_the_whole_pass_in_halves(n, shape, split_at):
+    # narrow and wide: the lib benchmark shapes; sparse: releases over 63n, past the counted
+    # ranks; edge: the latest completion is MAX_TIME itself
+    rng = np.random.default_rng(n)
+    p = rng.integers(1, 101, n)
+    r_lo = rng.integers(0, (63 if shape == "sparse" else 2) * n, n)
+    r_hi = r_lo + rng.integers(0, n + 1 if shape == "wide" else 101, n)
+    if shape == "edge":
+        shift = MAX_TIME - int(r_hi.max()) - int(p.sum())
+        r_lo, r_hi = r_lo + shift, r_hi + shift
+    model = UncertaintyModel("U1", n // 50) if shape == "wide" else UncertaintyModel("U2", 3)
+    inst = Instance.from_arrays(p, r_lo, r_hi, model)
+    sched = Schedule(rng.permutation(n) + 1)
+    scenario = Scenario(inst.trimmed_r_hi)
+
+    def run():
+        return (solve_robust_regret(inst), solve_robust_absolute(inst), max_regret(sched, inst),
+                all_optimal_makespans_fast(inst).tolist(), evaluate(sched, scenario, inst),
+                optimal_makespan(scenario, inst), worst_case_scenario_absolute(sched, inst))
+
+    whole, halves = whole_and_halves(split_at, run)
+    assert whole == halves
+
+
+@pytest.mark.parametrize("n", _SPLIT_SIZES)
+def test_suffix_index_is_the_whole_pass_in_halves(n, split_at):
+    # the minimum on both sides of the split point, and values at both ends of int64
+    rng = np.random.default_rng(n)
+    few = rng.integers(1, 4, n)
+    few[[3, n // 2 - 1, n // 2]] = 0
+    extreme = rng.choice(np.array([-(2**63), -1, 0, MAX_TIME]), n)
+    for values in (few, extreme, few[::-1].copy()):
+        whole, halves = whole_and_halves(split_at, lambda: IntervalMinTable(values))
+        assert np.array_equal(whole.suffix, halves.suffix)
+        assert np.array_equal(whole.first, halves.first) and whole.first.dtype == halves.first.dtype
+        assert np.array_equal(whole.suffix, np.minimum.accumulate(values[::-1])[::-1])

@@ -41,14 +41,13 @@ def slack_profile(inst):
     (`gap`); every term rs[k] + rest[k] plus its gap is the base makespan."""
     p, r_lo, _ = inst.columns
     order, rs = regret._release_order(r_lo)
-    rest, gap = regret._profile_from_sorted(rs, p[order])
-    bases = set((rs + rest[:-1] + gap).tolist())
-    assert len(bases) == 1
+    rest, term, base = regret._profile_from_sorted(rs, p[order])
+    assert np.array_equal(term, rs + rest[:-1]) and base == term.max()
     return SimpleNamespace(
         order=tuple((order + 1).tolist()),
         rest=tuple(rest.tolist()),
-        gap=tuple(gap.tolist()),
-        base_makespan=bases.pop(),
+        gap=tuple((base - term).tolist()),
+        base_makespan=base,
     )
 
 
@@ -295,6 +294,29 @@ def test_package_import_leaves_multiprocessing_out():
     out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == ["False"]
+
+
+def test_split_solve_leaves_no_thread_for_the_forked_naive_pool():
+    # the passes in halves join their thread before returning, so the fork pool that follows
+    # never copies a process with a thread running; a hang here fails by the timeout
+    src = str(Path(regret.__file__).resolve().parents[1])
+    code = """if True:
+        import sys; sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from robust_makespan import (Instance, UncertaintyModel, all_optimal_makespans_fast,
+                                     all_optimal_makespans_naive, core, solve_robust_regret)
+        core._SPLIT_MIN = 1024
+        rng = np.random.default_rng(4)
+        p, r_lo = rng.integers(1, 10, 4096), rng.integers(0, 4000, 4096)
+        inst = Instance.from_arrays(p, r_lo, r_lo + rng.integers(0, 200, 4096),
+                                    UncertaintyModel("U2", 10))
+        solve_robust_regret(inst)
+        naive = all_optimal_makespans_naive(inst, workers=2)
+        print(np.array_equal(naive, all_optimal_makespans_fast(inst)))
+    """
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["True"]
 
 
 @pytest.fixture
