@@ -363,7 +363,7 @@ def solve_to_payload(criterion: str, instance: Instance) -> dict:
         report = solve_robust_regret(instance)
         schedule, objective, jid = report.schedule, report.regret, report.worst_job
     idx = schedule.indices
-    ps = p[idx]  # p, the trimmed r_hi and the scenario are each gathered in schedule order once
+    ps = p[idx]  # each column the self-check reads is gathered in schedule order once
     if criterion == "absolute":  # the critical job: the last argmax of the upper bounds' terms
         term = _profile_from_sorted(instance.trimmed_r_hi[idx], ps)[1]
         jid = int(idx[term.size - 1 - int(term[::-1].argmax())]) + 1
