@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -490,7 +489,7 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
     n = instance.n
 
     fast = all_optimal_makespans_fast(trimmed)
-    naive = all_optimal_makespans_naive(trimmed, workers=os.cpu_count())
+    naive = all_optimal_makespans_naive(trimmed)
     if not np.array_equal(fast, naive):
         j = next(i + 1 for i in range(n) if fast[i] != naive[i])
         raise _Counterexample(

@@ -19,9 +19,9 @@ Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_profile_from_sorted`, which prices every makespan as one max-reduction
 over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
-are allowed, that pass and the packed sorts' extrema, packing and unpacking run
-in two halves at once (`_split`), with results identical to one pass; there is
-no setting.
+are allowed (`_cpus`, the one CPU query of the package), that pass and the
+packed sorts' extrema, packing and unpacking run in two halves at once
+(`_split`), with results identical to one pass; there is no setting.
 """
 from __future__ import annotations
 
@@ -129,11 +129,6 @@ def _array_column(values, name: str) -> np.ndarray:
     if values.dtype.kind == "u" and values.size and int(values.max()) > MAX_TIME:
         raise ValueError(f"a value of {name} exceeds the 64-bit range")
     return values.astype(np.int64, copy=False)
-
-
-def _trim_upper(r_lo: np.ndarray, r_hi: np.ndarray, gamma: int) -> np.ndarray:
-    """min(r_hi, r_lo + gamma) per job, exactly: the budget is clamped before numpy sees it."""
-    return r_lo + np.minimum(r_hi - r_lo, min(gamma, MAX_TIME))
 
 
 class Instance:
@@ -250,7 +245,8 @@ class Instance:
         _, r_lo, r_hi = self.columns
         if self.uncertainty.kind != "U1":
             return r_hi
-        upper = _trim_upper(r_lo, r_hi, self.uncertainty.gamma)
+        # exact: the budget is clamped before numpy sees it
+        upper = r_lo + np.minimum(r_hi - r_lo, min(self.uncertainty.gamma, MAX_TIME))
         upper.setflags(write=False)
         return upper
 
@@ -393,11 +389,17 @@ _CARRY_MIN = 2**15
 _SPLIT_MIN = 2**18
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; the host's count where there is no affinity call."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+
+
 def _split(fn, n: int) -> list:
     """[fn(0, n)], or [fn(0, n // 2), fn(n // 2, n)] from `_SPLIT_MIN` on when two CPUs are
-    allowed, the first on a thread joined before this returns (its exception is raised here).
-    fn writes disjoint slices and runs numpy only, which releases the GIL in its loops."""
-    if n < _SPLIT_MIN or len(os.sched_getaffinity(0)) < 2:
+    allowed and a thread starts, the first on it, joined before this returns (its exception
+    is raised here). fn writes disjoint slices and runs numpy only, which releases the GIL."""
+    if n < _SPLIT_MIN or _cpus() < 2:
         return [fn(0, n)]
     out, errors = [None, None], []
 
@@ -408,7 +410,10 @@ def _split(fn, n: int) -> list:
             errors.append(exc)
 
     worker = threading.Thread(target=first)
-    worker.start()
+    try:
+        worker.start()
+    except RuntimeError:  # no thread to be had, as under a pids limit: the whole pass here
+        return [fn(0, n)]
     try:
         out[1] = fn(n // 2, n)
     finally:

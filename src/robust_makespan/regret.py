@@ -30,6 +30,7 @@ from .core import (
     _PACKED_MIN,
     _StoredOnce,
     _check_covers,
+    _cpus,
     _profile_from_sorted,
     _sorted_order,
     _split,
@@ -198,14 +199,14 @@ def _naive_chunk(
     return out
 
 
-def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) -> np.ndarray:
+def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     """Reference per-scenario optima: sort and evaluate each scenario on its own.
 
     Returns an int64 array indexed by job id - 1. Raised jobs sit at their
-    trimmed upper bounds (`Instance.trimmed_r_hi`). With `workers` set, the
-    independent candidates are split into contiguous chunks evaluated in
-    separate processes and merged in order; results are identical to the
-    serial run.
+    trimmed upper bounds (`Instance.trimmed_r_hi`). The independent candidates
+    are split into contiguous chunks, one forked process per allowed CPU but
+    at most one per 2,048 candidates, and merged in order, so the result is the
+    serial run's; below two such chunks they run serially. There is no setting.
     """
     n = instance.n
     p, r_lo, _ = instance.columns
@@ -214,14 +215,11 @@ def all_optimal_makespans_naive(instance: Instance, workers: int | None = None) 
     ps = p[order]
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
-    if not workers or workers <= 1 or n < 4096:
+    workers = min(_cpus(), n // 2048)
+    if workers < 2:
         return _naive_chunk(rs, ps, pos, r_hi, 0, n)
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    tasks = [
-        (rs, ps, pos, r_hi, int(bounds[i]), int(bounds[i + 1]))
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
+    bounds = np.linspace(0, n, workers + 1, dtype=int).tolist()
+    tasks = [(rs, ps, pos, r_hi, a, b) for a, b in zip(bounds, bounds[1:])]
     import multiprocessing  # only here, so that importing the package leaves it out
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(len(tasks)) as pool:

@@ -1,6 +1,7 @@
 """Shared builders for randomized instance/scenario/schedule fixtures, and numpy spies."""
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -84,8 +85,27 @@ def gather_spy(column) -> GatherSpy:
 
 
 @pytest.fixture
-def split_at(monkeypatch):
+def cpus(monkeypatch):
+    """A setter for the number of CPUs the process may run on (`core._cpus`), 1 or 2, so that
+    no test forks more than two processes: through os.sched_getaffinity, or, with
+    affinity=False, with that call removed (as where the platform lacks it) and through
+    os.cpu_count."""
+
+    def allow(count: int, affinity: bool = True) -> None:
+        assert count in (1, 2)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    return allow
+
+
+@pytest.fixture
+def split_at(monkeypatch, cpus):
     """A setter for `core._SPLIT_MIN` (at least 2, so that neither half is empty), with two
     CPUs allowed: from that many elements on, every split pass runs in halves on two threads."""
-    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1})
+    cpus(2)
     return lambda n: monkeypatch.setattr(core, "_SPLIT_MIN", n)

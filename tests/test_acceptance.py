@@ -5,7 +5,6 @@ per criterion with its wall time. Everything is seeded and deterministic;
 only the scaling criterion asserts wall-clock budgets.
 """
 import math
-import os
 import random
 import time
 
@@ -19,6 +18,7 @@ from robust_makespan import (
     UncertaintyModel,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
+    core,
     evaluate,
     extreme_scenarios,
     is_feasible,
@@ -37,9 +37,6 @@ from robust_makespan.oracle import (
     brute_min_worst_cost,
 )
 from robust_makespan.rmq import IntervalMinTable
-
-WORKERS = min(2, os.cpu_count() or 1)
-
 
 def _report(name):
     class _Ctx:
@@ -161,10 +158,11 @@ def _big_instance(rng_seed, n, kind="U2"):
     return Instance(jobs, UncertaintyModel(kind, gamma))
 
 
-def test_criterion_6_fast_equals_naive_at_scale():
+def test_criterion_6_fast_equals_naive_at_scale(cpus):
     # >= 100 instances spanning n in {1e2, 1e3, 1e4, 1e5}: the closed-form
     # path equals the per-candidate sort-and-evaluate path elementwise,
     # including tie pile-ups and stay-put candidates.
+    cpus(min(2, core._cpus()))  # at most two forked processes per reference call
     with _report("criterion 6: fast vs naive per-candidate optima (100 instances up to 1e5)"):
         rng = random.Random(606)
         sizes = [100] * 70 + [1000] * 24 + [10**4] * 5 + [10**5] * 1
@@ -181,7 +179,7 @@ def test_criterion_6_fast_equals_naive_at_scale():
             else:
                 inst = _big_instance(9000 + i, n)
             fast = all_optimal_makespans_fast(inst)
-            naive = all_optimal_makespans_naive(inst, workers=WORKERS)
+            naive = all_optimal_makespans_naive(inst)
             assert np.array_equal(fast, naive)
 
 

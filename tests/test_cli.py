@@ -712,6 +712,16 @@ def test_verify_degenerate_instance_passes(tmp_path, capsys):
     assert "ok regret-solver-optimality" in out
 
 
+def test_verify_input_runs_the_naive_reference_in_processes(tmp_path, capsys, cpus):
+    # 4,096 jobs and two CPUs allowed: the reference's candidates go to two forked processes
+    cpus(2)
+    path = str(tmp_path / "inst.json")
+    assert main(["generate", "--n", "4096", "--seed", "3", "--model", "U1", "--gamma", "30",
+                 "--output", path]) == EXIT_OK
+    assert main(["verify", "--input", path, "--trials", "0"]) == EXIT_OK
+    assert "ok fast-vs-naive-optima: 1 cases" in capsys.readouterr().out.splitlines()
+
+
 def test_verify_random_trials_pass(capsys):
     assert main(["verify", "--trials", "40", "--seed", "5"]) == EXIT_OK
     out = capsys.readouterr().out

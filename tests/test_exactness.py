@@ -635,7 +635,7 @@ def whole_and_halves(split_at, run):
     return results
 
 
-def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_at, monkeypatch):
+def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_at, cpus):
     split_at(4)
     threads = threading.active_count()
     seen = []
@@ -659,8 +659,59 @@ def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_
         with pytest.raises(KeyError, match=half):
             core._split(fails_in(half), 9)
         assert threading.active_count() == threads
-    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0})
+    cpus(1)
     assert core._split(halves, 9) == [(0, 9)]  # one CPU allowed: the whole pass
+    cpus(2, affinity=False)
+    assert core._split(halves, 9) == [(0, 4), (4, 9)]  # no affinity call: the host's count
+
+
+def refuse_threads(monkeypatch) -> list:
+    """Make every threading.Thread.start raise, as under a pids limit; the returned list grows
+    by one per refused start."""
+    refused = []
+
+    def start(self):
+        refused.append(self)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return refused
+
+
+def test_split_runs_the_whole_pass_when_no_thread_starts(split_at, monkeypatch):
+    split_at(4)
+    threads = threading.active_count()
+    refused = refuse_threads(monkeypatch)
+    assert core._split(lambda a, b: (a, b), 9) == [(0, 9)]
+    assert len(refused) == 1 and threading.active_count() == threads
+
+
+def test_entry_points_answer_alike_without_an_affinity_call_or_a_thread(split_at, cpus,
+                                                                       monkeypatch):
+    # at the split size: with os.sched_getaffinity removed (as where the platform lacks it)
+    # the CPU count comes from os.cpu_count; with no thread to be had every pass runs whole
+    n = 4096
+    rng = np.random.default_rng(n)
+    r_lo = rng.integers(0, 4 * n, n)
+    inst = Instance.from_arrays(rng.integers(1, 10, n), r_lo, r_lo + rng.integers(0, 60, n),
+                                UncertaintyModel("U1", 500))
+    threads = threading.active_count()
+
+    def answers(naive=True):
+        return (solve_robust_absolute(inst), solve_robust_regret(inst),
+                all_optimal_makespans_fast(inst).tolist(),
+                all_optimal_makespans_naive(inst).tolist() if naive else None)
+
+    split_at(2**62)
+    whole = answers()
+    split_at(n)
+    assert answers() == whole
+    cpus(2, affinity=False)
+    assert core._cpus() == 2 and answers() == whole
+    assert threading.active_count() == threads
+    refused = refuse_threads(monkeypatch)  # the naive reference's process pool needs threads
+    assert answers(naive=False)[:3] == whole[:3]
+    assert refused and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("n", _SPLIT_SIZES)

@@ -222,7 +222,7 @@ def test_fast_agrees_with_literal_per_candidate_sort():
             [(p, r, r + rng.randint(0, 15)) for p, r in jobs], kind="U2", gamma=2
         )
         fast = all_optimal_makespans_fast(inst)
-        naive = all_optimal_makespans_naive(inst, workers=2)
+        naive = all_optimal_makespans_naive(inst)
         literal = [optimal_makespan(sc, inst) for sc in candidate_scenarios(inst)]
         assert fast.tolist() == literal
         assert naive.tolist() == literal
@@ -273,7 +273,7 @@ def test_all_optima_each_term_binds():
     assert all_optimal_makespans_fast(inst).tolist() == [7, 8]
 
 
-def test_naive_parallel_merge_is_deterministic():
+def test_naive_parallel_merge_is_deterministic(cpus):
     rng = random.Random(8)
     n = 5000
     jobs = []
@@ -281,8 +281,10 @@ def test_naive_parallel_merge_is_deterministic():
         r_lo = rng.randint(0, 4000)
         jobs.append((rng.randint(1, 9), r_lo, r_lo + rng.randint(0, 200)))
     inst = make_instance(jobs, kind="U2", gamma=10)
+    cpus(1)
     serial = all_optimal_makespans_naive(inst)
-    assert np.array_equal(serial, all_optimal_makespans_naive(inst, workers=2))
+    cpus(2)
+    assert np.array_equal(serial, all_optimal_makespans_naive(inst))
     assert np.array_equal(serial, all_optimal_makespans_fast(inst))
 
 
@@ -311,7 +313,7 @@ def test_split_solve_leaves_no_thread_for_the_forked_naive_pool():
         inst = Instance.from_arrays(p, r_lo, r_lo + rng.integers(0, 200, 4096),
                                     UncertaintyModel("U2", 10))
         solve_robust_regret(inst)
-        naive = all_optimal_makespans_naive(inst, workers=2)
+        naive = all_optimal_makespans_naive(inst)
         print(np.array_equal(naive, all_optimal_makespans_fast(inst)))
     """
     out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True,
@@ -386,7 +388,8 @@ def test_fast_agrees_with_naive_across_load_regimes(monkeypatch, rmq_split, chun
     assert _levels_built_iff_walked(rmq_split)
 
 
-def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split):
+def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split, cpus):
+    cpus(2)
     n = regret._CHUNK + 1
     rng = np.random.default_rng(n)
     for inst in (
@@ -394,7 +397,7 @@ def test_fast_agrees_with_naive_one_past_a_chunk(rmq_split):
         _regime_instance(rng, n, 2 * n, "U2", 100),
     ):
         fast = all_optimal_makespans_fast(inst)
-        assert np.array_equal(fast, all_optimal_makespans_naive(inst, workers=2))
+        assert np.array_equal(fast, all_optimal_makespans_naive(inst))
     assert rmq_split["calls"] == 4
     assert rmq_split["hit"] > 0
     assert rmq_split["walked"] > 0
