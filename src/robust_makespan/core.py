@@ -20,8 +20,10 @@ scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_profile_from_sorted`, which prices every makespan as one max-reduction
 over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
 are allowed (`_cpus`, the one CPU query of the package), that pass and the
-packed sorts' extrema, packing and unpacking run in two halves at once
-(`_split`), with results identical to one pass; there is no setting.
+packed sorts' extrema, packing and unpacking run in two halves on two threads
+(`_split`, the package's one parallel runtime; the naive regret reference
+splits its candidates through it from its own size), with results identical to
+one pass; there is no setting.
 """
 from __future__ import annotations
 
@@ -395,11 +397,13 @@ def _cpus() -> int:
     return len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
 
 
-def _split(fn, n: int) -> list:
-    """[fn(0, n)], or [fn(0, n // 2), fn(n // 2, n)] from `_SPLIT_MIN` on when two CPUs are
-    allowed and a thread starts, the first on it, joined before this returns (its exception
-    is raised here). fn writes disjoint slices and runs numpy only, which releases the GIL."""
-    if n < _SPLIT_MIN or _cpus() < 2:
+def _split(fn, n: int, at: int | None = None) -> list:
+    """[fn(0, n)], or [fn(0, n // 2), fn(n // 2, n)] from `at` (default `_SPLIT_MIN`) on
+    when two CPUs are allowed and a thread starts, the first on it, joined before this returns
+    (its exception is raised here). fn writes disjoint slices; it may hold the GIL between
+    numpy calls, but must not call a package function that perfbench/tracer.py wraps, since
+    the tracer keeps one span stack."""
+    if n < (_SPLIT_MIN if at is None else at) or _cpus() < 2:
         return [fn(0, n)]
     out, errors = [None, None], []
 

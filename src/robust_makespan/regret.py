@@ -30,7 +30,6 @@ from .core import (
     _PACKED_MIN,
     _StoredOnce,
     _check_covers,
-    _cpus,
     _profile_from_sorted,
     _sorted_order,
     _split,
@@ -47,6 +46,11 @@ _CHUNK = 2**14
 # from _PACKED_MIN jobs on, insertion ranks are counted while the release span is at most
 # this many positions per job: at most half the search's time (table in CHANGES.md)
 _SPAN_PER_JOB = 4
+
+# the reference's candidates run in halves on two threads from this many on: each candidate
+# is a Python loop step that holds the GIL between numpy calls over all n jobs, so the
+# halves win only once those calls are long (crossover table in CHANGES.md)
+_NAIVE_SPLIT_MIN = 2**14
 
 
 @dataclass(frozen=True)
@@ -154,59 +158,17 @@ def all_optimal_makespans_fast(instance: Instance) -> np.ndarray:
     return out
 
 
-def _naive_chunk(
-    rs: np.ndarray,
-    ps: np.ndarray,
-    pos: np.ndarray,
-    r_hi: np.ndarray,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Reference optima for candidates [start, stop): re-sort and re-evaluate each.
-
-    The candidate's release vector is the sorted base with one raised entry,
-    so the re-sort is a binary insertion into the presorted order; the
-    schedule is then evaluated in full. Ties are placed before equal keys
-    (the fast path places them after), which must not change any optimum.
-    """
-    n = rs.size
-    total = int(ps.sum())
-    rs_buf = rs.copy()
-    ps_buf = ps.copy()
-    prefix_buf = np.empty(n, dtype=np.int64)
-    diff_buf = np.empty(n, dtype=np.int64)
-    out = np.empty(stop - start, dtype=np.int64)
-    for c in range(start, stop):
-        raised = r_hi[c]
-        old = int(pos[c])
-        anchor = int(np.searchsorted(rs, raised, side="left"))
-        new = anchor - 1 if anchor > old else anchor
-        if new >= old:
-            rs_buf[old:new] = rs[old + 1 : new + 1]
-            ps_buf[old:new] = ps[old + 1 : new + 1]
-        else:
-            rs_buf[new + 1 : old + 1] = rs[new:old]
-            ps_buf[new + 1 : old + 1] = ps[new:old]
-        rs_buf[new] = raised
-        ps_buf[new] = ps[old]
-        np.cumsum(ps_buf, out=prefix_buf)
-        np.subtract(prefix_buf, ps_buf, out=diff_buf)
-        np.subtract(rs_buf, diff_buf, out=diff_buf)
-        out[c - start] = total + int(diff_buf.max())
-        lo, hi = min(old, new), max(old, new) + 1
-        rs_buf[lo:hi] = rs[lo:hi]
-        ps_buf[lo:hi] = ps[lo:hi]
-    return out
-
-
 def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     """Reference per-scenario optima: sort and evaluate each scenario on its own.
 
     Returns an int64 array indexed by job id - 1. Raised jobs sit at their
-    trimmed upper bounds (`Instance.trimmed_r_hi`). The independent candidates
-    are split into contiguous chunks, one forked process per allowed CPU but
-    at most one per 2,048 candidates, and merged in order, so the result is the
-    serial run's; below two such chunks they run serially. There is no setting.
+    trimmed upper bounds (`Instance.trimmed_r_hi`). A candidate's release vector
+    is the sorted base with one raised entry, so its re-sort is a binary
+    insertion into the presorted order; the schedule is then evaluated in full.
+    Ties are placed before equal keys (the fast path places them after), which
+    must not change any optimum. From `_NAIVE_SPLIT_MIN` candidates on, with two
+    CPUs allowed, they run in two halves (`_split`), merged in order, so the
+    result is the serial run's. There is no setting.
     """
     n = instance.n
     p, r_lo, _ = instance.columns
@@ -215,16 +177,37 @@ def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     ps = p[order]
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
-    workers = min(_cpus(), n // 2048)
-    if workers < 2:
-        return _naive_chunk(rs, ps, pos, r_hi, 0, n)
-    bounds = np.linspace(0, n, workers + 1, dtype=int).tolist()
-    tasks = [(rs, ps, pos, r_hi, a, b) for a, b in zip(bounds, bounds[1:])]
-    import multiprocessing  # only here, so that importing the package leaves it out
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(len(tasks)) as pool:
-        chunks = pool.starmap(_naive_chunk, tasks)
-    return np.concatenate(chunks)
+    total = int(ps.sum())
+
+    def chunk(start: int, stop: int) -> np.ndarray:  # the optima of candidates [start, stop)
+        rs_buf = rs.copy()
+        ps_buf = ps.copy()
+        prefix_buf = np.empty(n, dtype=np.int64)
+        diff_buf = np.empty(n, dtype=np.int64)
+        out = np.empty(stop - start, dtype=np.int64)
+        for c in range(start, stop):
+            raised = r_hi[c]
+            old = int(pos[c])
+            anchor = int(np.searchsorted(rs, raised, side="left"))
+            new = anchor - 1 if anchor > old else anchor
+            if new >= old:
+                rs_buf[old:new] = rs[old + 1 : new + 1]
+                ps_buf[old:new] = ps[old + 1 : new + 1]
+            else:
+                rs_buf[new + 1 : old + 1] = rs[new:old]
+                ps_buf[new + 1 : old + 1] = ps[new:old]
+            rs_buf[new] = raised
+            ps_buf[new] = ps[old]
+            np.cumsum(ps_buf, out=prefix_buf)
+            np.subtract(prefix_buf, ps_buf, out=diff_buf)
+            np.subtract(rs_buf, diff_buf, out=diff_buf)
+            out[c - start] = total + int(diff_buf.max())
+            lo, hi = min(old, new), max(old, new) + 1
+            rs_buf[lo:hi] = rs[lo:hi]
+            ps_buf[lo:hi] = ps[lo:hi]
+        return out
+
+    return np.concatenate(_split(chunk, n, _NAIVE_SPLIT_MIN))
 
 
 def _regret_report(schedule: Schedule, p: np.ndarray, r_lo: np.ndarray, r_hi: np.ndarray,

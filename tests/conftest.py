@@ -86,8 +86,8 @@ def gather_spy(column) -> GatherSpy:
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """A setter for the number of CPUs the process may run on (`core._cpus`), 1 or 2, so that
-    no test forks more than two processes: through os.sched_getaffinity, or, with
+    """A setter for the number of CPUs the process may run on (`core._cpus`), 1 or 2, the
+    counts on either side of `_split`'s choice: through os.sched_getaffinity, or, with
     affinity=False, with that call removed (as where the platform lacks it) and through
     os.cpu_count."""
 

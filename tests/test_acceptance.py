@@ -162,7 +162,7 @@ def test_criterion_6_fast_equals_naive_at_scale(cpus):
     # >= 100 instances spanning n in {1e2, 1e3, 1e4, 1e5}: the closed-form
     # path equals the per-candidate sort-and-evaluate path elementwise,
     # including tie pile-ups and stay-put candidates.
-    cpus(min(2, core._cpus()))  # at most two forked processes per reference call
+    cpus(min(2, core._cpus()))  # at most two threads per reference call
     with _report("criterion 6: fast vs naive per-candidate optima (100 instances up to 1e5)"):
         rng = random.Random(606)
         sizes = [100] * 70 + [1000] * 24 + [10**4] * 5 + [10**5] * 1

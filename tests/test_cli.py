@@ -22,7 +22,7 @@ from robust_makespan import (
     worst_case_scenario_absolute,
 )
 from robust_makespan.core import MAX_TIME
-from robust_makespan import cli
+from robust_makespan import cli, regret
 from robust_makespan.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_OK,
@@ -712,9 +712,11 @@ def test_verify_degenerate_instance_passes(tmp_path, capsys):
     assert "ok regret-solver-optimality" in out
 
 
-def test_verify_input_runs_the_naive_reference_in_processes(tmp_path, capsys, cpus):
-    # 4,096 jobs and two CPUs allowed: the reference's candidates go to two forked processes
+def test_verify_input_runs_the_naive_reference_in_halves(tmp_path, capsys, cpus, monkeypatch):
+    # 4,096 jobs, split from 2,048 on, and two CPUs allowed: the reference's candidates run in
+    # two halves on two threads
     cpus(2)
+    monkeypatch.setattr(regret, "_NAIVE_SPLIT_MIN", 2048)
     path = str(tmp_path / "inst.json")
     assert main(["generate", "--n", "4096", "--seed", "3", "--model", "U1", "--gamma", "30",
                  "--output", path]) == EXIT_OK

@@ -663,6 +663,9 @@ def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_
     assert core._split(halves, 9) == [(0, 9)]  # one CPU allowed: the whole pass
     cpus(2, affinity=False)
     assert core._split(halves, 9) == [(0, 4), (4, 9)]  # no affinity call: the host's count
+    split_at(2**62)  # from the caller's own size on, whatever _SPLIT_MIN is
+    assert core._split(halves, 9, 4) == [(0, 4), (4, 9)]
+    assert core._split(halves, 3, 4) == [(0, 3)]
 
 
 def refuse_threads(monkeypatch) -> list:
@@ -689,7 +692,8 @@ def test_split_runs_the_whole_pass_when_no_thread_starts(split_at, monkeypatch):
 def test_entry_points_answer_alike_without_an_affinity_call_or_a_thread(split_at, cpus,
                                                                        monkeypatch):
     # at the split size: with os.sched_getaffinity removed (as where the platform lacks it)
-    # the CPU count comes from os.cpu_count; with no thread to be had every pass runs whole
+    # the CPU count comes from os.cpu_count; with no thread to be had every pass, the naive
+    # reference's halves included, runs whole
     n = 4096
     rng = np.random.default_rng(n)
     r_lo = rng.integers(0, 4 * n, n)
@@ -697,20 +701,21 @@ def test_entry_points_answer_alike_without_an_affinity_call_or_a_thread(split_at
                                 UncertaintyModel("U1", 500))
     threads = threading.active_count()
 
-    def answers(naive=True):
+    def answers():
         return (solve_robust_absolute(inst), solve_robust_regret(inst),
                 all_optimal_makespans_fast(inst).tolist(),
-                all_optimal_makespans_naive(inst).tolist() if naive else None)
+                all_optimal_makespans_naive(inst).tolist())
 
     split_at(2**62)
     whole = answers()
     split_at(n)
+    monkeypatch.setattr(regret, "_NAIVE_SPLIT_MIN", n)  # the reference's halves too
     assert answers() == whole
     cpus(2, affinity=False)
     assert core._cpus() == 2 and answers() == whole
     assert threading.active_count() == threads
-    refused = refuse_threads(monkeypatch)  # the naive reference's process pool needs threads
-    assert answers(naive=False)[:3] == whole[:3]
+    refused = refuse_threads(monkeypatch)
+    assert answers() == whole
     assert refused and threading.active_count() == threads
 
 
