@@ -8,9 +8,11 @@ Instance files are JSON:
 
 A file in exactly the layout `generate` writes (`dump_instance`) is read
 without a JSON parse, by numpy passes over 8-byte windows that check every
-byte of its job rows and convert their numbers. Any other file is parsed as
-JSON and read in one pass per job field, with the same results and the same
-messages; a complaint about one job names its position in the file or its id.
+byte of its job rows and convert their numbers (the `:` search past 2 MiB
+and the conversion from 16,385 rows on in two halves on two threads,
+`core._split`). Any other file is parsed as JSON and read in one pass per job
+field, with the same results and the same messages; a complaint about one job
+names its position in the file or its id.
 
 Solution files are single-line JSON objects with the criterion, the
 permutation, the objective, the attained worst-case scenario, and (for
@@ -48,6 +50,7 @@ from .core import (
     _int64_column,
     _profile_from_sorted,
     _sorted_order,
+    _split,
     evaluate,
     optimal_makespan,
 )
@@ -123,38 +126,48 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
     give their widths. 8-byte windows of the file must then show each literal,
     1 to 19 digits per number with no leading zero and no value past
     MAX_TIME, and ids 1..n: only the bytes `_instance_chunks` writes pass.
+    Search blocks and row chunks run in halves (`_split`) from `_READ_SPLIT_MIN`
+    of them on; a refusal in either half refuses the file.
     """
     head = _INSTANCE_HEAD.match(raw)
     if head is None or not raw.endswith(_INSTANCE_ROW[-1] + _INSTANCE_TAIL):
         return None
     stop, buf = len(raw) - len(_INSTANCE_TAIL) - 1, np.frombuffer(raw, np.uint8)
-    # each number's start (searched 1 MB at a time), and where one would start after the last row
-    starts = np.concatenate([[head.end()], *(
-        np.flatnonzero(buf[at:at + 64 * _ROWS] == ord(":")) + (at + 2)
-        for at in range(head.end(), stop, 64 * _ROWS)), [stop + _GAP_LEN[0, 0]]])
+    block, rows = 64 * _ROWS, _ROWS // 2  # bytes per search block (1 MiB), rows per chunk
+    # each number's start (blocks a..b per half), and where one would start after the last row
+    found = _split(lambda a, b: [np.flatnonzero(buf[at:at + block] == ord(":")) + (at + 2) for at
+                                 in range(head.end() + a * block, head.end() + b * block, block)],
+                   -(-(stop - head.end()) // block), _READ_SPLIT_MIN)
+    starts = np.concatenate([[head.end()], *sum(found, []), [stop + _GAP_LEN[0, 0]]])
     n = starts.size // 4
     if starts.size % 4 != 1:
         return None
     words = np.ndarray((len(raw) - 7,), np.dtype("<u8"), raw, 0, (1,))  # words[i]: raw[i:i + 8]
     columns = np.empty((3, n), np.int64)
-    for lo in range(0, n, _ROWS // 4):  # _ROWS numbers: each temporary as large as a column's
-        hi = min(lo + _ROWS // 4, n)
-        # (field, row) arrays: each field's constants broadcast along a row
-        at, nxt = (np.ascontiguousarray(s.reshape(-1, 4).T)
-                   for s in (starts[4 * lo:4 * hi], starts[4 * lo + 1:4 * hi + 1]))
-        end = nxt - np.roll(_GAP_LEN, -1)  # one past each number's last digit
-        width = end - at
-        if width.min() < 1 or width.max() > 19:
-            return None
-        bad = ((words[at - _GAP_LEN] & _GAP_HEAD[0]) ^ _GAP_HEAD[1]
-               | (words[at - 8] & _GAP_TAIL[0]) ^ _GAP_TAIL[1])
-        if lo == 0:
-            bad[0, 0] = 0  # the first number follows the header
-        value, flags = _read_digits(words, end, width)
-        if ((bad | flags).any() or (value < _LEAST[width]).any() or (value > MAX_TIME).any()
-                or not np.array_equal(value[0], np.arange(lo + 1, hi + 1, dtype=np.uint64))):
-            return None
-        columns[:, lo:hi] = value[1:]
+
+    def convert(a: int, b: int) -> bool:  # checks chunks a..b into columns; False at a refusal
+        for lo in range(a * rows, min(b * rows, n), rows):
+            hi = min(lo + rows, n)
+            # (field, row) arrays: each field's constants broadcast along a row
+            at, nxt = (np.ascontiguousarray(s.reshape(-1, 4).T)
+                       for s in (starts[4 * lo:4 * hi], starts[4 * lo + 1:4 * hi + 1]))
+            end = nxt - np.roll(_GAP_LEN, -1)  # one past each number's last digit
+            width = end - at
+            if width.min() < 1 or width.max() > 19:
+                return False
+            bad = ((words[at - _GAP_LEN] & _GAP_HEAD[0]) ^ _GAP_HEAD[1]
+                   | (words[at - 8] & _GAP_TAIL[0]) ^ _GAP_TAIL[1])
+            if lo == 0:
+                bad[0, 0] = 0  # the first number follows the header
+            value, flags = _read_digits(words, end, width)
+            if ((bad | flags).any() or (value < _LEAST[width]).any() or (value > MAX_TIME).any()
+                    or not np.array_equal(value[0], np.arange(lo + 1, hi + 1, dtype=np.uint64))):
+                return False
+            columns[:, lo:hi] = value[1:]
+        return True
+
+    if not all(_split(convert, -(-n // rows), _READ_SPLIT_MIN)):
+        return None
     return head[1].decode(), int(head[2]), list(columns)
 
 
@@ -276,8 +289,10 @@ def dump_instance(instance: Instance) -> str:
 
 
 # rows per chunk of `_render_rows`: the chunk's byte template and int64
-# temporaries (under 2 MB for instance rows) stay in L2
+# temporaries (under 2 MB for instance rows) stay in L2; the reader's halves
+# start from _READ_SPLIT_MIN blocks or chunks, a whole one each (table in CHANGES.md)
 _ROWS = 2**14
+_READ_SPLIT_MIN = 3
 
 
 def _digit_words() -> np.ndarray:

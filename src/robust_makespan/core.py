@@ -21,9 +21,9 @@ so `_profile_from_sorted`, which prices every makespan as one max-reduction
 over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
 are allowed (`_cpus`, the one CPU query of the package), that pass and the
 packed sorts' extrema, packing and unpacking run in two halves on two threads
-(`_split`, the package's one parallel runtime; the naive regret reference
-splits its candidates through it from its own size), with results identical to
-one pass; there is no setting.
+(`_split`, the package's one parallel runtime; the naive regret reference's
+candidates and the CLI reader's `:` search and conversion split through it from
+their own sizes), with results identical to one pass; there is no setting.
 """
 from __future__ import annotations
 

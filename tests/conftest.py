@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ def gather_spy(column) -> GatherSpy:
     spy = np.asarray(column, dtype=np.int64).view(GatherSpy)
     spy.gathers = 0
     return spy
+
+
+def refuse_threads(monkeypatch) -> list:
+    """Make every threading.Thread.start raise, as under a pids limit; the returned list grows
+    by one per refused start."""
+    refused = []
+
+    def start(self):
+        refused.append(self)
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return refused
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """Instance/solution files and the three subcommands."""
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from robust_makespan import (
@@ -32,7 +33,7 @@ from robust_makespan.cli import (
     main,
 )
 
-from conftest import make_instance
+from conftest import make_instance, refuse_threads
 
 TWO_JOB = {
     "version": 1,
@@ -404,6 +405,99 @@ def test_files_across_the_chunk_seams(tmp_path, extra):
                           (text[:-12] + text[-12:].replace("}", "]", 1), False)):
         path.write_text(edited)
         assert (assert_reads_as_rendered(path) is not None) == taken
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("count", [1, 2])
+def test_files_across_the_reader_chunk_seams(tmp_path, cpus, extra, count):
+    # the reader checks _ROWS // 2 rows at a time: two chunks, or three that split in halves
+    cpus(count)
+    n = cli._ROWS + extra
+    path = tmp_path / "gen.json"
+    assert main(["generate", "--n", str(n), "--seed", "6", "--model", "U2", "--gamma", "9",
+                 "--r-range", "0", str(2 * n), "--output", str(path)]) == EXIT_OK
+    text = path.read_text()
+    assert assert_reads_as_rendered(path) is not None
+    first = cli._ROWS // 2 + 1  # the id of the first row of the second chunk
+    seam = text.index(f'{{"id": {first},')
+    for edited, taken in ((text[:seam] + text[seam:].replace('"r_lo": ', '"r_lo": 7', 1), True),
+                          (text[:seam] + text[seam:].replace(str(first), str(first - 1), 1), False),
+                          (text[:seam - 7] + text[seam - 7:].replace("},", "} ", 1), False),
+                          (text[:seam] + text[seam:].replace('"r_hi": ', '"r_hi": 0', 1), False)):
+        path.write_text(edited)
+        assert (assert_reads_as_rendered(path) is not None) == taken
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Route threading.Thread.start through a spy; the returned list grows by one per start."""
+    starts, real = [], threading.Thread.start
+
+    def start(self):
+        starts.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return starts
+
+
+def fast_outcome(raw):
+    """The fast reader's (kind, gamma, columns as lists), or None."""
+    fast = cli._generated_columns(raw)
+    return fast and (*fast[:2], [column.tolist() for column in fast[2]])
+
+
+# edits of one row, and the threads the fast reader then starts: the ":" search always
+# splits, the conversion only when the row count passes it
+SPLIT_EDITS = {
+    "digit added": (lambda row: row.replace('"p": ', '"p": 9', 1), 2),
+    "space added": (lambda row: row.replace('"p": ', '"p":  ', 1), 2),
+    "leading zero": (lambda row: row.replace('"r_lo": ', '"r_lo": 0', 1), 2),
+    "id raised": (lambda row: row.replace(', "p"', '0, "p"', 1), 2),
+    "id key renamed": (lambda row: row.replace('"id"', '"ib"', 1), 2),
+    "colon dropped": (lambda row: row.replace('"r_hi": ', '"r_hi" ', 1), 1),
+}
+
+
+@pytest.mark.parametrize("row", [3, 21, 36])  # first half, first row of the second, second
+@pytest.mark.parametrize("edit", SPLIT_EDITS)
+def test_split_reader_halves_read_as_one_pass(tmp_path, monkeypatch, cpus, row, edit):
+    monkeypatch.setattr(cli, "_ROWS", 8)  # search blocks of 512 bytes, chunks of 4 rows
+    path = tmp_path / "gen.json"
+    assert main(["generate", "--n", "40", "--seed", "3", "--model", "U1", "--gamma", "30",
+                 "--r-range", "0", "80", "--output", str(path)]) == EXIT_OK
+    text = path.read_text()
+    at = text.index(f'{{"id": {row},')  # rows 1-20 in the first half of 10 chunks
+    change, started = SPLIT_EDITS[edit]
+    path.write_text(text[:at] + change(text[at:]))
+    raw = path.read_bytes()
+    threads = threading.active_count()
+    cpus(2)
+    with monkeypatch.context() as patch:
+        starts = count_thread_starts(patch)
+        halves = fast_outcome(raw)
+        assert len(starts) == started
+    assert (halves is not None) == (edit == "digit added")
+    assert_reads_as_rendered(path)
+    assert threading.active_count() == threads
+    with monkeypatch.context() as patch:
+        refused = refuse_threads(patch)
+        assert fast_outcome(raw) == halves and len(refused) == started
+    cpus(1)
+    assert fast_outcome(raw) == halves
+    assert threading.active_count() == threads
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # cpus(2) in each
+@given(edited_dumps(), st.sampled_from([4, 8]))
+def test_edited_files_are_read_fast_only_when_rendered_exactly_in_halves(tmp_path_factory, cpus,
+                                                                        raw, rows):
+    cpus(2)
+    path = tmp_path_factory.mktemp("edited") / "inst.json"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_ROWS", rows)  # chunks of 2 or 4 rows: halves from 5 or 9 rows on
+        assert_reads_as_rendered(path)
 
 
 def list_payload(payload):

@@ -55,6 +55,7 @@ from conftest import (
     make_instance,
     random_instance,
     random_schedule,
+    refuse_threads,
 )
 
 
@@ -666,19 +667,6 @@ def test_split_runs_the_halves_on_two_threads_and_raises_their_exceptions(split_
     split_at(2**62)  # from the caller's own size on, whatever _SPLIT_MIN is
     assert core._split(halves, 9, 4) == [(0, 4), (4, 9)]
     assert core._split(halves, 3, 4) == [(0, 3)]
-
-
-def refuse_threads(monkeypatch) -> list:
-    """Make every threading.Thread.start raise, as under a pids limit; the returned list grows
-    by one per refused start."""
-    refused = []
-
-    def start(self):
-        refused.append(self)
-        raise RuntimeError("can't start new thread")
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    return refused
 
 
 def test_split_runs_the_whole_pass_when_no_thread_starts(split_at, monkeypatch):
