@@ -31,6 +31,7 @@ import random
 import re
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -490,52 +491,41 @@ def _random_check_instance(rng: random.Random) -> Instance:
     return Instance(tuple(jobs), UncertaintyModel(kind, gamma))
 
 
-class _Counterexample(Exception):
-    def __init__(self, check: str, instance: Instance, detail: str):
-        super().__init__(check)
-        self.check = check
-        self.instance = instance
-        self.detail = detail
+# the checks, in the order `verify` prints their counts
+_CHECKS = ("erd-optimality", "worst-case-construction", "candidate-set-sufficiency",
+           "absolute-solver-optimality", "regret-solver-optimality", "fast-vs-naive-optima",
+           "untrimmed-u1-reports", "shifted-magnitude")
+_ERD, _WORST_CASE, _CANDIDATES, _ABSOLUTE, _REGRET, _FAST, _UNTRIMMED, _SHIFTED = _CHECKS
 
 
-def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> None:
-    """Run every oracle check that applies to this instance; raise on mismatch."""
-    trimmed = normalize_u1(instance)
-    n = instance.n
+def _checks(instance: Instance, rng: random.Random) -> Iterator[tuple[str, bool, str]]:
+    """(check, passed, detail) of each oracle check that applies to this instance, in turn;
+    a caller that stops at a failed record runs no later check."""
+    trimmed, n = normalize_u1(instance), instance.n
 
-    fast = all_optimal_makespans_fast(trimmed)
+    fast = np.asarray(all_optimal_makespans_fast(trimmed))
     naive = all_optimal_makespans_naive(trimmed)
-    if not np.array_equal(fast, naive):
-        j = next(i + 1 for i in range(n) if fast[i] != naive[i])
-        raise _Counterexample(
-            "fast-vs-naive-optima",
-            instance,
-            f"candidate job {j}: fast {fast[j - 1]} != naive {naive[j - 1]}",
-        )
-    counts["fast-vs-naive-optima"] += 1
+    if fast.size != naive.size:
+        yield _FAST, False, f"fast gives {fast.size} optima, naive {naive.size}"
+    else:
+        j = int(np.argmax(fast != naive))  # the first mismatch, if any
+        yield (_FAST, fast[j] == naive[j],
+               f"candidate job {j + 1}: fast {fast[j]} != naive {naive[j]}")
 
     report = solve_robust_regret(instance)
     # the regret entry points trim U1 bounds themselves: raw input gives the trimmed reports
     if trimmed is not instance:
-        if report != max_regret(report.schedule, instance) or (
-                report != solve_robust_regret(trimmed)):
-            raise _Counterexample("untrimmed-u1-reports", instance,
-                                  "the solve or max_regret of its schedule differs once trimmed")
-        counts["untrimmed-u1-reports"] += 1
+        yield (_UNTRIMMED, report == max_regret(report.schedule, instance)
+               and report == solve_robust_regret(trimmed),
+               "the solve or max_regret of its schedule differs once trimmed")
 
     if n > 6:
         return
 
     for scenario in enumerate_feasible_scenarios(instance)[:48]:
-        got = optimal_makespan(scenario, instance)
-        want = brute_min_makespan(scenario, instance)
-        if got != want:
-            raise _Counterexample(
-                "erd-optimality",
-                instance,
-                f"scenario {scenario.releases}: sorted-order makespan {got}, enumeration {want}",
-            )
-        counts["erd-optimality"] += 1
+        got, want = optimal_makespan(scenario, instance), brute_min_makespan(scenario, instance)
+        yield _ERD, got == want, (f"scenario {scenario.releases}: sorted-order makespan {got}, "
+                                  f"enumeration {want}")
 
     schedules = [Schedule(tuple(rng.sample(range(1, n + 1), n))) for _ in range(12)]
     _, upper = extreme_scenarios(trimmed)
@@ -546,64 +536,41 @@ def _verify_instance(instance: Instance, rng: random.Random, counts: dict) -> No
         crit = evaluate(schedule, upper, trimmed).critical_position
         jid = schedule.perm[crit - 1]
         suffix = int(trimmed.columns[0][schedule.indices[crit - 1 :]].sum())
-        if (
-            ev.makespan != cost
-            or not is_feasible(scenario, trimmed)
-            or scenario.releases[jid - 1] + suffix != ev.makespan
-        ):
-            raise _Counterexample(
-                "worst-case-construction",
-                instance,
-                f"perm {schedule.perm}: scenario {scenario.releases} "
-                f"(cost {cost}, attained {ev.makespan})",
-            )
-        counts["worst-case-construction"] += 1
+        yield (_WORST_CASE, ev.makespan == cost and is_feasible(scenario, trimmed)
+               and scenario.releases[jid - 1] + suffix == ev.makespan,
+               f"perm {schedule.perm}: scenario {scenario.releases} "
+               f"(cost {cost}, attained {ev.makespan})")
 
-        got = max_regret(schedule, trimmed).regret
-        want = brute_max_regret(schedule, instance)
-        if got != want:
-            raise _Counterexample(
-                "candidate-set-sufficiency",
-                instance,
-                f"perm {schedule.perm}: candidate-set regret {got}, grid regret {want}",
-            )
-        counts["candidate-set-sufficiency"] += 1
+        got, want = max_regret(schedule, trimmed).regret, brute_max_regret(schedule, instance)
+        yield _CANDIDATES, got == want, (f"perm {schedule.perm}: candidate-set regret {got}, "
+                                         f"grid regret {want}")
 
-    _, cost = solve_robust_absolute(instance)
-    want = brute_min_worst_cost(instance)
-    if cost != want:
-        raise _Counterexample(
-            "absolute-solver-optimality", instance, f"solver cost {cost}, enumeration {want}"
-        )
-    counts["absolute-solver-optimality"] += 1
+    cost, want = solve_robust_absolute(instance)[1], brute_min_worst_cost(instance)
+    yield _ABSOLUTE, cost == want, f"solver cost {cost}, enumeration {want}"
 
-    regret = report.regret
     want = brute_min_max_regret(instance)
-    if regret != want:
-        raise _Counterexample(
-            "regret-solver-optimality", instance, f"solver regret {regret}, enumeration {want}"
-        )
-    counts["regret-solver-optimality"] += 1
+    yield _REGRET, report.regret == want, f"solver regret {report.regret}, enumeration {want}"
 
 
-def _verify_shifted(instance: Instance, counts: dict) -> None:
-    """Check the solvers on copies with every release moved up; raise on mismatch.
+def _shifted_checks(instance: Instance) -> Iterator[tuple[str, bool, str]]:
+    """One record: the solvers on copies with every release moved up.
 
     The first copy moves releases up by 2**62. The second moves them to the
     64-bit edge, by MAX_TIME - (max r_hi + sum p), so that the instance's
     worst-case completion bound holds with equality. Shifting every release
     by the same amount shifts every makespan by it, so both solvers must
     return the same orders, the regret report must be unchanged and every
-    optimum and the absolute cost must move by exactly the shift.
+    optimum and the absolute cost must move by exactly the shift. The
+    record's detail names the first copy that shows a problem.
     """
     p, r_lo, r_hi = instance.columns
     base = solve_robust_regret(instance)
     optima = all_optimal_makespans_fast(instance)
     sched, cost = solve_robust_absolute(instance)
     edge = MAX_TIME - int(r_hi.max()) - int(p.sum())
+    problems = []
     for shift, label in ((2**62, "2**62"), (edge, f"{edge} (the 64-bit edge)")):
         shifted = Instance.from_arrays(p, r_lo + shift, r_hi + shift, instance.uncertainty)
-        problems = []
         high = solve_robust_regret(shifted)
         if high != base:
             problems.append(f"regret {base.regret} -> {high.regret}")
@@ -614,10 +581,8 @@ def _verify_shifted(instance: Instance, counts: dict) -> None:
         if sched_high != sched or cost_high != cost + shift:
             problems.append(f"absolute cost {cost} -> {cost_high}")
         if problems:
-            raise _Counterexample(
-                "shifted-magnitude", instance, f"releases + {label}: {'; '.join(problems)}"
-            )
-    counts["shifted-magnitude"] += 1
+            break
+    yield _SHIFTED, not problems, f"releases + {label}: {'; '.join(problems)}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -631,22 +596,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instances.extend((_random_check_instance(rng), True) for _ in range(args.trials))
     if not instances:
         raise CliError("nothing to verify: give --input and/or --trials")
-    counts = dict.fromkeys(
-        ("erd-optimality", "worst-case-construction", "candidate-set-sufficiency",
-         "absolute-solver-optimality", "regret-solver-optimality", "fast-vs-naive-optima",
-         "untrimmed-u1-reports", "shifted-magnitude"),
-        0,
-    )
-    try:
-        for instance, shift in instances:
-            _verify_instance(instance, rng, counts)
-            if shift:
-                _verify_shifted(instance, counts)
-    except _Counterexample as cx:
-        print(f"FAIL {cx.check}: {cx.detail}", file=sys.stderr)
-        print("counterexample instance:", file=sys.stderr)
-        print(dump_instance(cx.instance), file=sys.stderr, end="")
-        return EXIT_COUNTEREXAMPLE
+    counts = dict.fromkeys(_CHECKS, 0)
+    for instance, shift in instances:
+        for check, passed, detail in chain(_checks(instance, rng),
+                                           _shifted_checks(instance) if shift else ()):
+            if not passed:
+                print(f"FAIL {check}: {detail}", file=sys.stderr)
+                print("counterexample instance:", file=sys.stderr)
+                print(dump_instance(instance), file=sys.stderr, end="")
+                return EXIT_COUNTEREXAMPLE
+            counts[check] += 1
     for check, count in counts.items():
         print(f"ok {check}: {count} cases")
     print(f"verified {len(instances)} instances")

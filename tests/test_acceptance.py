@@ -14,7 +14,6 @@ from robust_makespan import (
     Instance,
     Job,
     Scenario,
-    Schedule,
     UncertaintyModel,
     all_optimal_makespans_fast,
     all_optimal_makespans_naive,
@@ -37,6 +36,9 @@ from robust_makespan.oracle import (
     brute_min_worst_cost,
 )
 from robust_makespan.rmq import IntervalMinTable
+
+from conftest import random_interval_scenario, random_schedule
+
 
 def _report(name):
     class _Ctx:
@@ -62,16 +64,6 @@ def _instance(rng, n, kind, gamma=None, r_max=30, p_max=10):
     return Instance(tuple(jobs), UncertaintyModel(kind, gamma))
 
 
-def _interval_scenario(rng, instance):
-    return Scenario(tuple(rng.randint(j.r_lo, j.r_hi) for j in instance.jobs))
-
-
-def _random_schedule(rng, n):
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
-    return Schedule(tuple(ids))
-
-
 def test_criterion_1_release_order_optimality():
     # >= 1000 random instances, n <= 8, p in [1,10], releases in [0,30]:
     # the release-sorted makespan equals the full permutation enumeration.
@@ -79,7 +71,7 @@ def test_criterion_1_release_order_optimality():
         rng = random.Random(101)
         for _ in range(1000):
             inst = _instance(rng, rng.randint(1, 8), rng.choice(("U1", "U2")))
-            scenario = _interval_scenario(rng, inst)
+            scenario = random_interval_scenario(rng, inst)
             assert optimal_makespan(scenario, inst) == brute_min_makespan(scenario, inst)
 
 
@@ -105,7 +97,7 @@ def test_criterion_3_worst_case_scenario_construction():
             inst = normalize_u1(_instance(rng, rng.randint(1, 7), rng.choice(("U1", "U2"))))
             _, upper = extreme_scenarios(inst)
             for _ in range(3):
-                sched = _random_schedule(rng, inst.n)
+                sched = random_schedule(rng, inst.n)
                 cost = robust_absolute_cost(sched, inst)
                 assert cost == evaluate(sched, upper, inst).makespan
                 scenario = worst_case_scenario_absolute(sched, inst)
@@ -130,7 +122,7 @@ def test_criterion_4_candidate_set_max_regret():
             else:
                 inst = _instance(rng, n, "U2", gamma=rng.choice((1, 2, n)), r_max=14, p_max=8)
             for _ in range(20):
-                sched = _random_schedule(rng, n)
+                sched = random_schedule(rng, n)
                 assert max_regret(sched, inst).regret == brute_max_regret(sched, inst)
 
 
@@ -276,8 +268,8 @@ def test_criterion_9_single_release_bump():
         rng = random.Random(909)
         for _ in range(1000):
             inst = _instance(rng, rng.randint(1, 8), rng.choice(("U1", "U2")))
-            sched = _random_schedule(rng, inst.n)
-            scenario = _interval_scenario(rng, inst)
+            sched = random_schedule(rng, inst.n)
+            scenario = random_interval_scenario(rng, inst)
             eps = rng.randint(0, 12)
             before = evaluate(sched, scenario, inst)
             # draw one arbitrary job, plus the critical job for the equality half

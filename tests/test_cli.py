@@ -1,7 +1,12 @@
 """Instance/solution files and the three subcommands."""
 import dataclasses
 import json
+import os
+import random
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -838,6 +843,20 @@ def test_verify_catches_broken_fast_path(monkeypatch, capsys):
     assert "counterexample instance" in err
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+def test_verify_catches_a_fast_path_of_the_wrong_length(monkeypatch, capsys, extra):
+    # negative control: one optimum too few or too many is a counterexample, not a crash
+    def wrong(instance):
+        naive = cli.all_optimal_makespans_naive(instance)
+        return naive[:-1] if extra < 0 else np.append(naive, naive[0])
+
+    monkeypatch.setattr(cli, "all_optimal_makespans_fast", wrong)
+    assert main(["verify", "--trials", "3", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    first = capsys.readouterr().err.splitlines()[0]
+    n = cli._random_check_instance(random.Random(5)).n  # the draw that fails
+    assert first == f"FAIL fast-vs-naive-optima: fast gives {n + extra} optima, naive {n}"
+
+
 def test_verify_catches_wrong_solver_order(monkeypatch, capsys):
     # negative control: an intentionally bad solver must be flagged
     def bad_solver(instance):
@@ -906,6 +925,53 @@ def test_verify_counts_untrimmed_u1_instances(capsys):
     assert main(["verify", "--trials", "40", "--seed", "5"]) == EXIT_OK
     counted = int(capsys.readouterr().out.split("ok untrimmed-u1-reports: ")[1].split()[0])
     assert 0 < counted < 40
+
+
+def test_verify_prints_every_count_in_order(capsys):
+    # pins the checks, their order and the order of the seeded draws
+    assert main(["verify", "--trials", "40", "--seed", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "ok erd-optimality: 369 cases",
+        "ok worst-case-construction: 480 cases",
+        "ok candidate-set-sufficiency: 480 cases",
+        "ok absolute-solver-optimality: 40 cases",
+        "ok regret-solver-optimality: 40 cases",
+        "ok fast-vs-naive-optima: 40 cases",
+        "ok untrimmed-u1-reports: 6 cases",
+        "ok shifted-magnitude: 40 cases",
+        "verified 40 instances",
+    ]
+
+
+def test_verify_prints_the_failing_check_and_its_instance(monkeypatch, capsys):
+    def broken(instance):
+        good = cli.all_optimal_makespans_naive(instance).copy()
+        good[0] += 1
+        return good
+
+    monkeypatch.setattr(cli, "all_optimal_makespans_fast", broken)
+    assert main(["verify", "--trials", "3", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    out, err = capsys.readouterr()
+    first = cli._random_check_instance(random.Random(5))  # the draw that fails
+    assert out == ""
+    assert err == ("FAIL fast-vs-naive-optima: candidate job 1: fast 23 != naive 22\n"
+                   "counterexample instance:\n" + dump_instance(first))
+
+
+def test_module_entry_point_exits_with_main_status():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "robust_makespan.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("verify", "--trials", "2", "--seed", "0")
+    assert done.returncode == EXIT_OK
+    assert done.stdout.splitlines()[-1] == "verified 2 instances"
+    done = run()
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: ")
 
 
 def test_verify_without_work_is_usage_error(capsys):
