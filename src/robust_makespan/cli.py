@@ -128,7 +128,7 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
     1 to 19 digits per number with no leading zero and no value past
     MAX_TIME, and ids 1..n: only the bytes `_instance_chunks` writes pass.
     Search blocks and row chunks run in halves (`_split`) from `_READ_SPLIT_MIN`
-    of them on; a refusal in either half refuses the file.
+    of them on; a refusal in either half refuses the file and stops the other.
     """
     head = _INSTANCE_HEAD.match(raw)
     if head is None or not raw.endswith(_INSTANCE_ROW[-1] + _INSTANCE_TAIL):
@@ -145,9 +145,12 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
         return None
     words = np.ndarray((len(raw) - 7,), np.dtype("<u8"), raw, 0, (1,))  # words[i]: raw[i:i + 8]
     columns = np.empty((3, n), np.int64)
+    refused = []  # a half's refusal: the other half stops before its next chunk
 
     def convert(a: int, b: int) -> bool:  # checks chunks a..b into columns; False at a refusal
         for lo in range(a * rows, min(b * rows, n), rows):
+            if refused:
+                return False
             hi = min(lo + rows, n)
             # (field, row) arrays: each field's constants broadcast along a row
             at, nxt = (np.ascontiguousarray(s.reshape(-1, 4).T)
@@ -155,6 +158,7 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
             end = nxt - np.roll(_GAP_LEN, -1)  # one past each number's last digit
             width = end - at
             if width.min() < 1 or width.max() > 19:
+                refused.append(lo)
                 return False
             bad = ((words[at - _GAP_LEN] & _GAP_HEAD[0]) ^ _GAP_HEAD[1]
                    | (words[at - 8] & _GAP_TAIL[0]) ^ _GAP_TAIL[1])
@@ -163,6 +167,7 @@ def _generated_columns(raw: bytes) -> tuple[str, int, list[np.ndarray]] | None:
             value, flags = _read_digits(words, end, width)
             if ((bad | flags).any() or (value < _LEAST[width]).any() or (value > MAX_TIME).any()
                     or not np.array_equal(value[0], np.arange(lo + 1, hi + 1, dtype=np.uint64))):
+                refused.append(lo)
                 return False
             columns[:, lo:hi] = value[1:]
         return True

@@ -20,10 +20,10 @@ scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_profile_from_sorted`, which prices every makespan as one max-reduction
 over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
 are allowed (`_cpus`, the one CPU query of the package), that pass and the
-packed sorts' extrema, packing and unpacking run in two halves on two threads
-(`_split`, the package's one parallel runtime; the naive regret reference's
-candidates and the CLI reader's `:` search and conversion split through it from
-their own sizes), with results identical to one pass; there is no setting.
+packed sorts' extrema, packing, sort (after a median partition) and unpacking
+run in two halves on two threads (`_split`, the package's one parallel runtime;
+the naive regret reference's candidates and the CLI reader's `:` search and
+conversion split through it at their own sizes), as one pass would; no setting.
 """
 from __future__ import annotations
 
@@ -441,8 +441,9 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tupl
     alone; tie and k; or tie alone, mapped back through tie's inverse; and the carried columns
     that fit. Every key is distinct, so the unstable sort gives the order; masks and shifts
     give back the carried columns and the sorted values, and the rest are gathered; extrema,
-    packing and unpacking run in halves (`_split`). Otherwise it is np.argsort(kind="stable"),
-    a timsort, or np.lexsort((tie, values)).
+    packing, sorting and unpacking run in halves (`_split`), the sort once an in-place
+    partition around the median has put the n // 2 least keys first. Otherwise it is
+    np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
     if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
@@ -467,12 +468,14 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tupl
                     seg <<= width
                     seg |= np.arange(a, b, dtype=np.int64) if column is None else column[a:b]
 
-            _split(pack, n)
-            packed.sort()
+            halves = len(_split(pack, n)) > 1
+            if halves:  # the n // 2 least keys first: each half then sorts on its own
+                packed.partition(n // 2)
             outs = [np.empty_like(packed) for _ in fields[top:]]  # order, then carried columns
 
             def unpack(a: int, b: int) -> None:
                 seg = packed[a:b]
+                seg.sort()
                 for out, (_, width) in zip(outs[:0:-1], fields[:top:-1]):  # carried, last first
                     np.bitwise_and(seg, (1 << width) - 1, out=out[a:b])
                     seg >>= width
@@ -480,7 +483,7 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tupl
                 seg >>= bits * (top + 1)
                 seg += low
 
-            _split(unpack, n)
+            _split(unpack, n, None if halves else n + 1)  # halves only after the partition
             order, *carried = outs
             if tie is not None and not top:  # the tie alone was packed
                 inverse = np.empty(n, dtype=np.int64)

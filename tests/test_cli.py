@@ -492,6 +492,40 @@ def test_split_reader_halves_read_as_one_pass(tmp_path, monkeypatch, cpus, row, 
     assert threading.active_count() == threads
 
 
+def test_split_reader_stops_the_other_half_after_a_refusal(tmp_path, monkeypatch, cpus):
+    # a leading zero in row 1 refuses the worker's first chunk; the caller's first conversion
+    # waits until the worker has refused, so without the shared flag it would go on to convert
+    # all five of its chunks
+    monkeypatch.setattr(cli, "_ROWS", 8)  # chunks of 4 rows: halves of 5 chunks each
+    path = tmp_path / "gen.json"
+    assert main(["generate", "--n", "40", "--seed", "3", "--model", "U1", "--gamma", "30",
+                 "--r-range", "0", "80", "--output", str(path)]) == EXIT_OK
+    text = path.read_text()
+    path.write_text(text.replace('"r_lo": ', '"r_lo": 0', 1))
+    cpus(2)
+    caller, real = threading.get_ident(), cli._read_digits
+    calls, workers, worker_called = [], [], threading.Event()
+
+    def spy(words, end, width):  # every number here has at most 8 digits: one call a chunk
+        calls.append(threading.get_ident())
+        if calls[-1] != caller:
+            workers.append(threading.current_thread())
+            worker_called.set()
+        elif calls.count(caller) == 1:
+            assert worker_called.wait(10)
+            workers[0].join(10)
+            assert not workers[0].is_alive()
+        return real(words, end, width)
+
+    monkeypatch.setattr(cli, "_read_digits", spy)
+    threads = threading.active_count()
+    assert cli._generated_columns(path.read_bytes()) is None
+    assert len(workers) == 1 and calls.count(caller) <= 1
+    assert threading.active_count() == threads
+    message = load_outcome(path)
+    assert "invalid JSON" in message and message == json_reader_outcome(monkeypatch, path)
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # cpus(2) in each
 @given(edited_dumps(), st.sampled_from([4, 8]))

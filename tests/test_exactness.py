@@ -4,10 +4,15 @@ Every expected value here comes from Python-int arithmetic: the brute-force
 oracles (which evaluate in Python integers at these sizes) or the small
 reference recursion below.
 """
+import ast
+import functools
+import importlib
 import json
 import random
+import sys
 import threading
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,7 +44,7 @@ from robust_makespan import (
     worst_case_scenario_absolute,
 )
 from robust_makespan.cli import CliError, load_instance
-from robust_makespan import absolute, core, regret
+from robust_makespan import absolute, cli, core, regret
 from robust_makespan.core import _CARRY_MIN, _PACKED_MIN, MAX_TIME, _sorted_order
 from robust_makespan.oracle import (
     brute_max_regret,
@@ -792,3 +797,97 @@ def test_suffix_index_is_the_whole_pass_in_halves(n, split_at):
         assert np.array_equal(whole.suffix, halves.suffix)
         assert np.array_equal(whole.first, halves.first) and whole.first.dtype == halves.first.dtype
         assert np.array_equal(whole.suffix, np.minimum.accumulate(values[::-1])[::-1])
+
+
+def _sort_keys(n):
+    """Keys on which a sort in halves could go wrong: all equal, already sorted, reverse
+    sorted, and one value repeated across the median position n // 2."""
+    run = np.random.default_rng(n).integers(0, 1000, n)
+    run[::2] = 500
+    assert np.sort(run)[[n // 3, n // 2, 2 * n // 3]].tolist() == [500] * 3
+    climb = np.arange(n) // 3
+    return {"equal": np.full(n, 7), "sorted": climb, "reversed": climb[::-1].copy(),
+            "median run": run}
+
+
+@pytest.mark.parametrize("n", [_SPLIT_EDGE, _SPLIT_EDGE + 1])  # even and odd
+@pytest.mark.parametrize("shape", ["equal", "sorted", "reversed", "median run"])
+def test_sorts_at_the_split_edge_on_adversarial_keys(n, shape, split_at, cpus, monkeypatch):
+    # one CPU: one sort; two CPUs: a median partition, then a sort of each half on its own
+    # thread; no thread to be had: the partition, then one sort of the whole
+    keys = _sort_keys(n)[shape]
+    rng = np.random.default_rng(n)
+    tie = rng.permutation(n)
+    carry = (rng.integers(0, 64, n), rng.integers(0, 2**20, n))  # the second may not fit
+    wants = [(None, np.argsort(keys, kind="stable")), (tie, np.lexsort((tie, keys)))]
+    split_at(_SPLIT_EDGE)
+    threads = threading.active_count()
+    for mode in ("one CPU", "no affinity call", "no thread"):
+        with monkeypatch.context() as patch:
+            if mode == "one CPU":
+                cpus(1)
+            elif mode == "no affinity call":
+                cpus(2, affinity=False)
+            else:
+                refused = refuse_threads(patch)
+            for t, want in wants:
+                for columns in ((), carry):
+                    got = _sorted_order(keys, t, carry=columns)
+                    assert len(got) == 2 + len(columns)
+                    for part, expected in zip(got, (want, keys[want], *(c[want] for c in columns))):
+                        assert np.array_equal(part, expected), (mode, t is None, len(columns))
+        assert threading.active_count() == threads
+    assert refused
+
+
+def _tracer_targets() -> list:
+    """`TARGETS` of perfbench/tracer.py, read from its source without importing it."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "TARGETS" for target in node.targets))
+
+
+def test_split_halves_call_no_traced_function(split_at, monkeypatch, tmp_path):
+    # the tracer keeps one span stack, so no `_split` half may call a callable it wraps: each
+    # one, rebound where the tracer rebinds it, records every call from another thread
+    caller, calls, strays = threading.get_ident(), [], []
+
+    def on_caller(fn, name):
+        @functools.wraps(fn)
+        def check(*args, **kwargs):
+            (calls if threading.get_ident() == caller else strays).append(name)
+            return fn(*args, **kwargs)
+        return check
+
+    for module_name, path, name, mode in _tracer_targets():
+        module = importlib.import_module(f"robust_makespan.{module_name}")
+        *parents, attr = path.split(".")
+        owner = functools.reduce(getattr, parents, module)
+        original = vars(owner).get(attr)
+        if not callable(original):  # a slot, or a name that is gone: the tracer skips it too
+            continue
+        # a module function is rebound under every alias in the package, as the tracer does
+        owners = [owner] if isinstance(owner, type) or mode == "local" else [
+            alias for key, alias in list(sys.modules.items())
+            if key.startswith("robust_makespan.") and vars(alias).get(attr) is original]
+        for alias in owners:
+            monkeypatch.setattr(alias, attr, on_caller(original, name))
+    split_at(_CARRY_MIN)
+    n = 2 * _CARRY_MIN
+    rng = np.random.default_rng(n)
+    r_lo = rng.integers(0, 2 * n, n)
+    inst = Instance.from_arrays(rng.integers(1, 101, n), r_lo, r_lo + rng.integers(0, n, n),
+                                UncertaintyModel("U1", n // 50))
+    schedule, _ = solve_robust_absolute(inst)
+    solve_robust_regret(inst)
+    max_regret(schedule, inst)
+    all_optimal_makespans_fast(inst)
+    path = tmp_path / "inst.json"
+    assert cli.main(["generate", "--n", str(n), "--seed", "1", "--model", "U1", "--gamma", "50",
+                     "--r-range", "0", str(2 * n), "--output", str(path)]) == 0
+    for criterion in ("absolute", "regret"):
+        assert cli.main(["solve", "--criterion", criterion, "--input", str(path),
+                         "--output", str(tmp_path / f"{criterion}.json")]) == 0
+    assert {"rmq.range_min_many", "regret.stable_argsort", "cli.load_instance"} <= set(calls)
+    assert strays == []
