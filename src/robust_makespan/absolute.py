@@ -3,21 +3,16 @@
 For any fixed order, the worst feasible scenario achieves exactly the
 makespan of the hypothetical all-upper-bounds release vector: pushing the
 critical job to its upper bound and dropping everyone else to their lower
-bound is feasible and loses nothing. Minimizing that worst case reduces to
-sorting by latest possible release date. Under U1 the upper bounds are the
-instance's trimmed ones (`Instance.trimmed_r_hi`), so every entry point here
-is exact on untrimmed instances too.
+bound is feasible and loses nothing. Minimizing that worst case is the
+nominal earliest-release-date (ERD) problem on the upper bounds, so the solve
+is the ERD pass (`core._erd`) on them, at the cost of the non-robust problem.
+Under U1 the upper bounds are the instance's trimmed ones
+(`Instance.trimmed_r_hi`), so every entry point here is exact on untrimmed
+instances too.
 """
 from __future__ import annotations
 
-from .core import (
-    Instance,
-    Scenario,
-    Schedule,
-    _check_covers,
-    _profile_from_sorted,
-    _sorted_order,
-)
+from .core import Instance, Scenario, Schedule, _check_covers, _erd, _profile_from_sorted
 from .uncertainty import candidate_scenario
 
 
@@ -50,11 +45,11 @@ def worst_case_scenario_absolute(schedule: Schedule, instance: Instance) -> Scen
 
 
 def solve_robust_absolute(instance: Instance) -> tuple[Schedule, int]:
-    """Minimize the worst-case makespan: sort by latest possible release date.
+    """Minimize the worst-case makespan: the ERD pass on the latest possible release dates.
 
     Reads the trimmed U1 bounds; ties are broken by ascending job id. The
     returned cost is the worst-case makespan of the returned schedule, which
     no other schedule can beat.
     """
-    order, sorted_upper, ps = _sorted_order(instance.trimmed_r_hi, carry=(instance.columns[0],))
-    return Schedule._from_order(order), _profile_from_sorted(sorted_upper, ps)[2]
+    order, cost = _erd(instance.trimmed_r_hi, instance.columns[0])
+    return Schedule._from_order(order), cost

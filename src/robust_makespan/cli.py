@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .absolute import (
+    _worst_case,
     robust_absolute_cost,
     solve_robust_absolute,
     worst_case_scenario_absolute,
@@ -47,7 +48,7 @@ from .core import (
     Job,
     Schedule,
     UncertaintyModel,
-    _erd_makespan_arrays,
+    _erd,
     _int64_column,
     _profile_from_sorted,
     _sorted_order,
@@ -68,7 +69,7 @@ from .regret import (
     max_regret,
     solve_robust_regret,
 )
-from .uncertainty import _single_deviation, extreme_scenarios, is_feasible, normalize_u1
+from .uncertainty import candidate_scenario, extreme_scenarios, is_feasible, normalize_u1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -369,28 +370,25 @@ def _render_rows(sep: bytes, literals: tuple[bytes, ...],
 def solve_to_payload(criterion: str, instance: Instance) -> dict:
     """Run the requested solver and package a self-consistent solution document.
 
-    The worst-case scenario raises one job (the critical one for absolute,
-    the worst candidate for regret) to its trimmed upper bound. Before
-    returning, the scenario is re-evaluated on the arrays and must attain
-    the objective. The permutation, the scenario's releases and the
-    per-candidate values are int64 arrays, which `_solution_text` writes
-    as JSON lists.
+    The worst-case scenario (`candidate_scenario`) raises one job (the
+    critical one, `absolute._worst_case`, for absolute, the worst candidate
+    for regret) to its trimmed upper bound. Before returning, the scenario
+    is re-evaluated on the arrays and must attain the objective. The
+    permutation, the scenario's releases and the per-candidate values are
+    int64 arrays, which `_solution_text` writes as JSON lists.
     """
     p = instance.columns[0]
     if criterion == "absolute":
         schedule, objective = solve_robust_absolute(instance)
+        jid = _worst_case(schedule, instance)[1]
     else:
         report = solve_robust_regret(instance)
         schedule, objective, jid = report.schedule, report.regret, report.worst_job
     idx = schedule.indices
-    ps = p[idx]  # each column the self-check reads is gathered in schedule order once
-    if criterion == "absolute":  # the critical job: the last argmax of the upper bounds' terms
-        term = _profile_from_sorted(instance.trimmed_r_hi[idx], ps)[1]
-        jid = int(idx[term.size - 1 - int(term[::-1].argmax())]) + 1
-    releases = _single_deviation(instance, jid)
-    attained = _profile_from_sorted(releases[idx], ps)[2]
+    releases = candidate_scenario(instance, jid).array
+    attained = _profile_from_sorted(releases[idx], p[idx])[2]
     if criterion == "regret":
-        attained -= _erd_makespan_arrays(releases, p)
+        attained -= _erd(releases, p)[1]
     if attained != objective:
         raise AssertionError(
             f"solution failed self-check: scenario attains {attained}, not the {criterion} "

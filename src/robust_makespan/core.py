@@ -18,18 +18,22 @@ column. Each stores only int64 bytes and builds its tuple (`releases`,
 Every evaluator runs one numpy path for any n: `_releases` checks that a
 scenario fits the instance and that max(releases) + sum(p) fits in int64,
 so `_profile_from_sorted`, which prices every makespan as one max-reduction
-over its terms, can never wrap. From `_SPLIT_MIN` elements on, when two CPUs
-are allowed (`_cpus`, the one CPU query of the package), that pass and the
-packed sorts' extrema, packing, sort (after a median partition) and unpacking
-run in two halves on two threads (`_split`, the package's one parallel runtime;
-the naive regret reference's candidates and the CLI reader's `:` search and
-conversion split through it at their own sizes), as one pass would; no setting.
+over its terms, can never wrap. `_erd`, the earliest-release-date pass, is
+one sort with p carried and that reduction; `optimal_makespan` and the
+absolute solve (on the trimmed upper bounds) both price through it. From
+`_SPLIT_MIN` elements on, when two CPUs are allowed (`_cpus`, the one CPU
+query of the package), the profile pass and the packed sorts' extrema,
+packing, sort (after a median partition) and unpacking run in two halves on
+two threads (`_split`, the package's one parallel runtime; the naive regret
+reference's candidates and the CLI reader's `:` search and conversion split
+through it at their own sizes), as one pass would; no setting.
 """
 from __future__ import annotations
 
 import os
 import threading
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -87,6 +91,9 @@ def _is_integer(value) -> bool:
     )
 
 
+_UNORDERED = (set, frozenset, Mapping)  # collections whose iteration order is not the caller's
+
+
 def _int64_column(values, describe) -> np.ndarray:
     """Exact int64 array of a list or tuple of integers; ValueError naming the first bad
     entry via describe(k) otherwise.
@@ -116,11 +123,14 @@ def _array_column(values, name: str) -> np.ndarray:
 
     An integer array is checked by its dtype in one pass (an int64 one comes
     back as itself: callers that keep it copy it); anything else goes
-    through `_int64_column`, whose errors name the entry as name[k].
+    through `_int64_column`, whose errors name the entry as name[k]. Sets and
+    mappings are refused: they would be read in hash or key order.
     """
     if isinstance(values, np.ndarray) and values.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {values.shape}")
     if not isinstance(values, np.ndarray) or values.dtype == object:
+        if isinstance(values, _UNORDERED):
+            raise ValueError(f"{name} must be a sequence of integers, got {type(values).__name__}")
         try:
             values = tuple(values)
         except TypeError:  # a lone number, say
@@ -133,19 +143,24 @@ def _array_column(values, name: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Jobs with ids 1..n, stored as int64 columns, plus the uncertainty model.
 
     `columns` is (p, r_lo, r_hi), read-only int64 arrays indexed by job
     id - 1. `Instance(jobs, uncertainty)` takes `Job` records listed in id
     order; `Instance.from_arrays(p, r_lo, r_hi, uncertainty)` takes the
-    aligned columns. Instances are immutable, and equal when their columns
-    and models are.
+    aligned columns. Instances are frozen, like the other value types, and
+    equal when their columns and models are; a pickle goes through
+    `from_arrays`, so a loaded instance is checked and read-only again.
     """
 
-    __slots__ = ("columns", "uncertainty", "__dict__")
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    uncertainty: UncertaintyModel = field(init=False)
 
     def __init__(self, jobs, uncertainty: UncertaintyModel) -> None:
+        if isinstance(jobs, _UNORDERED):
+            raise ValueError(f"jobs must be a sequence of Job records, got {type(jobs).__name__}")
         try:
             jobs = tuple(jobs)
         except TypeError:
@@ -220,12 +235,6 @@ class Instance:
             column.setflags(write=False)
         object.__setattr__(self, "columns", (p, r_lo, r_hi))
         object.__setattr__(self, "uncertainty", uncertainty)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: Instance is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: Instance is immutable")
 
     @property
     def n(self) -> int:
@@ -561,12 +570,13 @@ def erd_schedule(scenario: Scenario, instance: Instance) -> Schedule:
     return Schedule._from_order(_stable_argsort(_releases(instance, scenario)))
 
 
-def _erd_makespan_arrays(releases: np.ndarray, p: np.ndarray) -> int:
-    """Makespan of the release-sorted order, straight from the arrays."""
-    _, sorted_releases, ps = _sorted_order(releases, carry=(p,))
-    return _profile_from_sorted(sorted_releases, ps)[2]
+def _erd(releases: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, int]:
+    """(order, makespan) of the earliest-release-date order, ties by ascending index: one
+    sort by release with p carried, then one max-reduction."""
+    order, sorted_releases, ps = _sorted_order(releases, carry=(p,))
+    return order, _profile_from_sorted(sorted_releases, ps)[2]
 
 
 def optimal_makespan(scenario: Scenario, instance: Instance) -> int:
     """Minimum makespan over all orders: sort by release date and evaluate."""
-    return _erd_makespan_arrays(_releases(instance, scenario), instance.columns[0])
+    return _erd(_releases(instance, scenario), instance.columns[0])[1]

@@ -173,8 +173,7 @@ def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     n = instance.n
     p, r_lo, _ = instance.columns
     r_hi = instance.trimmed_r_hi
-    order, rs = _release_order(r_lo)
-    ps = p[order]
+    order, rs, ps = _release_order(r_lo, p)
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
     total = int(ps.sum())

@@ -52,15 +52,9 @@ def candidate_scenario(instance: Instance, jid: int) -> Scenario:
         raise ValueError(f"job id must be an integer, got {jid!r}")
     if not 1 <= jid <= instance.n:
         raise ValueError(f"no job with id {jid}")
-    return Scenario(_single_deviation(instance, jid))
-
-
-def _single_deviation(instance: Instance, jid: int) -> np.ndarray:
-    """Release vector with job `jid` at its trimmed upper bound and every other
-    job at its lower bound: the U1-feasible candidate the solvers reason about."""
     releases = instance.columns[1].copy()
     releases[jid - 1] = instance.trimmed_r_hi[jid - 1]
-    return releases
+    return Scenario(releases)
 
 
 def candidate_scenarios(instance: Instance) -> tuple[Scenario, ...]:

@@ -638,11 +638,18 @@ def test_solution_reevaluates_to_objective(tmp_path):
             assert regret_of(sched, scenario, instance) == sol["objective"]
 
 
-def test_solution_files_match_library_payload(tmp_path):
+@pytest.mark.parametrize("options, tied", [
+    (["--seed", "4", "--gamma", "30", "--r-range", "0", "6000", "--width-range", "0", "80"],
+     False),
+    # unit jobs on a dense release range: several upper-bound terms share the maximum
+    (["--seed", "3", "--gamma", "5", "--r-range", "0", "3000", "--width-range", "0", "20",
+      "--p-range", "1", "1"], True),
+], ids=["distinct", "tied"])
+def test_solution_files_match_library_payload(tmp_path, options, tied):
     # above the small-n cutoff, with U1 intervals that trimming shortens
     path = str(tmp_path / "big.json")
-    assert main(["generate", "--n", "3000", "--seed", "4", "--model", "U1", "--gamma", "30",
-                 "--r-range", "0", "6000", "--width-range", "0", "80", "--output", path]) == EXIT_OK
+    assert main(["generate", "--n", "3000", "--model", "U1", *options,
+                 "--output", path]) == EXIT_OK
     inst = load_instance(path)
     trimmed = normalize_u1(inst)
     assert trimmed != inst
@@ -650,6 +657,12 @@ def test_solution_files_match_library_payload(tmp_path):
     sched, cost = solve_robust_absolute(inst)
     _, upper = extreme_scenarios(trimmed)
     crit = evaluate(sched, upper, trimmed).critical_position
+    # the absolute schedule's terms under the upper bounds: the critical job is the last argmax
+    idx = sched.indices
+    ps = trimmed.columns[0][idx]
+    term = trimmed.columns[2][idx] + np.cumsum(ps[::-1])[::-1]
+    first, last = int(term.argmax()), term.size - 1 - int(term[::-1].argmax())
+    assert (first != last) == tied and crit - 1 == last
     expected = {
         "regret": {
             "criterion": "regret",

@@ -40,6 +40,7 @@ from robust_makespan.core import (
     _profile_from_sorted,
     _sorted_order,
 )
+from robust_makespan.rmq import IntervalMinTable
 
 from conftest import (
     count_argsort_calls,
@@ -477,7 +478,16 @@ def test_from_arrays_copies_and_freezes_columns():
         inst.columns[0][0] = 5
     with pytest.raises(AttributeError):
         inst.uncertainty = UncertaintyModel("U2", 2)
-    assert pickle.loads(pickle.dumps(inst)) == inst
+    with pytest.raises(AttributeError):
+        del inst.uncertainty
+    with pytest.raises(AttributeError):
+        inst.columns = inst.columns
+    with pytest.raises(AttributeError):
+        inst.note = "new"
+    loaded = pickle.loads(pickle.dumps(inst))
+    assert loaded == inst
+    with pytest.raises(ValueError):
+        loaded.columns[1][0] = 5
 
 
 def test_from_arrays_rejects_bad_columns():
@@ -507,6 +517,26 @@ def test_from_arrays_rejects_bad_columns():
         Instance.from_arrays([1], [0], [2**63], model)
     with pytest.raises(ValueError, match="64-bit"):
         Instance.from_arrays([1], [0], np.array([2**63], dtype=np.uint64), model)
+
+
+_UNORDERED_ENTRIES = {
+    "Scenario": lambda kind: Scenario(kind([1, 2])),
+    "Schedule": lambda kind: Schedule(kind([1, 2])),
+    "from_arrays": lambda kind: Instance.from_arrays(kind([1, 2]), [0, 0], [0, 0],
+                                                     UncertaintyModel("U2", 1)),
+    "IntervalMinTable": lambda kind: IntervalMinTable(kind([1, 2])),
+    "range_min_many": lambda kind: IntervalMinTable([4, 2]).range_min_many(kind([1, 2]), [2, 2]),
+    "Instance": lambda kind: Instance(kind([Job(1, 1, 0, 0)]), UncertaintyModel("U2", 1)),
+}
+
+
+@pytest.mark.parametrize("kind", [set, frozenset, dict.fromkeys], ids=["set", "frozenset", "dict"])
+@pytest.mark.parametrize("entry", list(_UNORDERED_ENTRIES))
+def test_unordered_collections_are_refused_as_columns(entry, kind):
+    # a set or mapping would be read in hash or key order, not in the caller's
+    name = type(kind([])).__name__
+    with pytest.raises(ValueError, match=rf"must be a sequence of [\w ]+, got {name}$"):
+        _UNORDERED_ENTRIES[entry](kind)
 
 
 def test_instance_rejects_non_integer_job_fields():
@@ -588,6 +618,8 @@ def test_pickle_size_does_not_depend_on_the_tuples_being_read():
         (lambda: Scenario(r_lo), lambda s: s.releases),
         (lambda: Schedule(perm), lambda s: s.perm),
         (lambda: solve_robust_regret(inst), lambda r: (r.per_candidate, r.schedule.perm)),
+        (lambda: Instance(inst.jobs, UncertaintyModel("U1", 5)),
+         lambda i: (i.jobs, i.trimmed_r_hi.tolist(), hash(i))),
     )
     for make, read in values:
         fresh, read_one = make(), make()
