@@ -3,14 +3,17 @@
 Everything here enumerates permutations and/or extreme scenarios outright
 and is meant for cross-checking the solvers in tests and `verify`; sizes
 are capped accordingly (n <= 7 for scenario grids, n <= 6 where every
-grid point also needs its own permutation enumeration).
+grid point also needs its own permutation enumeration). The four oracles
+are one enumeration, `_min_max`, which runs the completion-time recursion
+itself in Python integers: no pricing, sorting or checking code of the
+library runs here, so an oracle never agrees with a solver by sharing it.
 """
 from __future__ import annotations
 
 import functools
 from itertools import combinations, permutations
 
-from .core import Instance, Scenario, Schedule, evaluate
+from .core import Instance, Scenario, Schedule
 
 _MAX_PERMUTATION_N = 10
 _MAX_GRID_N = 7
@@ -20,6 +23,39 @@ _MAX_REGRET_GRID_N = 6
 def _require_small(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"refusing brute force for n={n} (cap {cap})")
+
+
+def _min_max(instance: Instance, grid: list[tuple[tuple[int, ...], int]], orders=None) -> int:
+    """Minimum over `orders` (all n! when None) of the maximum over `grid`'s (releases,
+    optimum) pairs of makespan minus optimum. An order is dropped once a partial makespan
+    minus an optimum reaches the best so far, as makespans only grow with each job; the n!
+    orders start from the first scenario's release order, so that dropping starts early.
+    """
+    jobs = list(enumerate(instance.columns[0].tolist()))  # (index, p) records
+    if orders is None:
+        orders = permutations(sorted(jobs, key=lambda job: grid[0][0][job[0]]))
+    else:
+        orders = [[jobs[i] for i in order] for order in orders]
+    # above every value: no makespan exceeds the latest release plus all the work
+    best = max(max(releases) for releases, _ in grid) + sum(p for _, p in jobs) + 1
+    for order in orders:
+        worst = 0
+        for releases, optimum in grid:
+            t, limit = 0, best + optimum
+            for i, p in order:
+                r = releases[i]
+                if r > t:
+                    t = r
+                t += p
+                if t >= limit:
+                    break
+            if t >= limit:
+                break
+            if t - optimum > worst:
+                worst = t - optimum
+        else:
+            best = worst
+    return best
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -32,20 +68,7 @@ def brute_min_makespan(scenario: Scenario, instance: Instance) -> int:
     _require_small(n, _MAX_PERMUTATION_N)
     if len(scenario.releases) != n:
         raise ValueError(f"dimension mismatch: {n} jobs but {len(scenario.releases)} releases")
-    rel = scenario.releases
-    pairs = tuple(zip(rel, instance.columns[0].tolist()))
-    best = None
-    for perm in permutations(pairs):
-        t = 0
-        for r, p in perm:
-            if r > t:
-                t = r
-            t += p
-            if best is not None and t >= best:
-                break
-        else:
-            best = t
-    return best
+    return _min_max(instance, [(scenario.releases, 0)])
 
 
 def enumerate_feasible_scenarios(instance: Instance) -> list[Scenario]:
@@ -61,52 +84,40 @@ def enumerate_feasible_scenarios(instance: Instance) -> list[Scenario]:
     _require_small(n, _MAX_GRID_N)
     model = instance.uncertainty
     _, r_lo, r_hi = instance.columns
-    lows = tuple(r_lo.tolist())
-    highs = tuple(r_hi.tolist())
+    lows, highs = r_lo.tolist(), r_hi.tolist()
     seen: set[tuple[int, ...]] = set()
-
-    if model.kind == "U2":
-        for size in range(0, min(model.gamma, n) + 1):
-            for subset in combinations(range(n), size):
-                rel = list(lows)
-                for i in subset:
-                    rel[i] = highs[i]
-                seen.add(tuple(rel))
-    else:
-        for size in range(0, n + 1):
-            for subset in combinations(range(n), size):
-                used = sum(highs[i] - lows[i] for i in subset)
-                if used > model.gamma:
-                    continue
-                rel = list(lows)
-                for i in subset:
-                    rel[i] = highs[i]
-                seen.add(tuple(rel))
-                leftover = model.gamma - used
-                if leftover <= 0:
-                    continue
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            # the budget left: U2 counts the raised jobs, U1 sums their widths
+            used = size if model.kind == "U2" else sum(highs[i] - lows[i] for i in subset)
+            left = model.gamma - used
+            if left < 0:
+                continue
+            rel = lows.copy()
+            for i in subset:
+                rel[i] = highs[i]
+            seen.add(tuple(rel))
+            if model.kind == "U1":
                 for k in range(n):
-                    if k in subset:
-                        continue
-                    raised = min(highs[k], lows[k] + leftover)
-                    if raised > lows[k]:
-                        variant = list(rel)
-                        variant[k] = raised
-                        seen.add(tuple(variant))
+                    raised = min(highs[k], lows[k] + left)
+                    if raised > rel[k]:
+                        seen.add((*rel[:k], raised, *rel[k + 1 :]))
     return [Scenario(rel) for rel in sorted(seen)]
+
+
+def _regret_grid(instance: Instance) -> list[tuple[tuple[int, ...], int]]:
+    """(releases, brute_min_makespan) of every grid scenario. Capped at n = 6."""
+    _require_small(instance.n, _MAX_REGRET_GRID_N)
+    return [(s.releases, brute_min_makespan(s, instance))
+            for s in enumerate_feasible_scenarios(instance)]
 
 
 def brute_max_regret(schedule: Schedule, instance: Instance) -> int:
     """Worst regret of a schedule over the enumerated scenario grid. Capped at n = 6."""
-    _require_small(instance.n, _MAX_REGRET_GRID_N)
-    worst = 0
-    for scenario in enumerate_feasible_scenarios(instance):
-        regret = evaluate(schedule, scenario, instance).makespan - brute_min_makespan(
-            scenario, instance
-        )
-        if regret > worst:
-            worst = regret
-    return worst
+    order = schedule.indices.tolist()
+    if len(order) != instance.n:
+        raise ValueError(f"dimension mismatch: {instance.n} jobs but {len(order)} in the schedule")
+    return _min_max(instance, _regret_grid(instance), [order])
 
 
 def brute_min_worst_cost(instance: Instance) -> int:
@@ -115,27 +126,7 @@ def brute_min_worst_cost(instance: Instance) -> int:
     For every order takes the worst makespan over the scenario grid, then
     minimizes over orders.
     """
-    n = instance.n
-    _require_small(n, _MAX_GRID_N)
-    grid = [s.releases for s in enumerate_feasible_scenarios(instance)]
-    procs = tuple(instance.columns[0].tolist())
-    best = None
-    for perm in permutations(range(n)):
-        worst = 0
-        for rel in grid:
-            t = 0
-            for i in perm:
-                r = rel[i]
-                if r > t:
-                    t = r
-                t += procs[i]
-            if t > worst:
-                worst = t
-                if best is not None and worst >= best:
-                    break
-        else:
-            best = worst
-    return best
+    return _min_max(instance, [(s.releases, 0) for s in enumerate_feasible_scenarios(instance)])
 
 
 def brute_min_max_regret(instance: Instance) -> int:
@@ -144,28 +135,4 @@ def brute_min_max_regret(instance: Instance) -> int:
     Scenario optima come from brute_min_makespan; for every order the worst
     regret over the grid is formed, then minimized over orders.
     """
-    n = instance.n
-    _require_small(n, _MAX_REGRET_GRID_N)
-    scenarios = enumerate_feasible_scenarios(instance)
-    grid = [
-        (s.releases, brute_min_makespan(s, instance)) for s in scenarios
-    ]
-    procs = tuple(instance.columns[0].tolist())
-    best = None
-    for perm in permutations(range(n)):
-        worst = 0
-        for rel, opt in grid:
-            t = 0
-            for i in perm:
-                r = rel[i]
-                if r > t:
-                    t = r
-                t += procs[i]
-            regret = t - opt
-            if regret > worst:
-                worst = regret
-                if best is not None and worst >= best:
-                    break
-        else:
-            best = worst
-    return best
+    return _min_max(instance, _regret_grid(instance))

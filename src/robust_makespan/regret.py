@@ -162,9 +162,10 @@ def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     """Reference per-scenario optima: sort and evaluate each scenario on its own.
 
     Returns an int64 array indexed by job id - 1. Raised jobs sit at their
-    trimmed upper bounds (`Instance.trimmed_r_hi`). A candidate's release vector
-    is the sorted base with one raised entry, so its re-sort is a binary
-    insertion into the presorted order; the schedule is then evaluated in full.
+    trimmed upper bounds (`Instance.trimmed_r_hi`). The base order is its own
+    stable `np.argsort`, so none of the fast path's sort code runs here. A
+    candidate's release vector is the sorted base with one raised entry, so its
+    re-sort is a binary insertion into it; the schedule is then evaluated in full.
     Ties are placed before equal keys (the fast path places them after), which
     must not change any optimum. From `_NAIVE_SPLIT_MIN` candidates on, with two
     CPUs allowed, they run in two halves (`_split`), merged in order, so the
@@ -173,7 +174,8 @@ def all_optimal_makespans_naive(instance: Instance) -> np.ndarray:
     n = instance.n
     p, r_lo, _ = instance.columns
     r_hi = instance.trimmed_r_hi
-    order, rs, ps = _release_order(r_lo, p)
+    order = np.argsort(r_lo, kind="stable")
+    rs, ps = r_lo[order], p[order]
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n, dtype=np.int64)
     total = int(ps.sum())

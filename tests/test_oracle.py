@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from robust_makespan import Scenario, Schedule, evaluate, is_feasible
+from robust_makespan import Scenario, Schedule, core, evaluate, is_feasible, oracle
 from robust_makespan.oracle import (
     brute_max_regret,
     brute_min_makespan,
@@ -104,6 +104,9 @@ def test_brute_max_regret_hand_cases():
     degenerate = make_instance([(2, 3, 3), (2, 1, 1)])
     erd_order = Schedule((2, 1))
     assert brute_max_regret(erd_order, degenerate) == 0
+    for wrong in (Schedule((1,)), Schedule((1, 2, 3))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            brute_max_regret(wrong, inst)
 
 
 def test_brute_exhaustive_solvers_match_definitions():
@@ -118,3 +121,43 @@ def test_brute_exhaustive_solvers_match_definitions():
         assert brute_min_worst_cost(inst) == want_cost
         want_regret = min(brute_max_regret(s, inst) for s in perms)
         assert brute_min_max_regret(inst) == want_regret
+        # the literal oracle against the library's evaluator: spans[s][k] is the makespan of
+        # order s under grid scenario k, and each scenario's optimum is a column minimum
+        spans = [[evaluate(s, sc, inst).makespan for sc in grid] for s in perms]
+        optima = [min(column) for column in zip(*spans)]
+        for s, row in zip(perms, spans):
+            assert brute_max_regret(s, inst) == max(m - o for m, o in zip(row, optima))
+
+
+@pytest.mark.parametrize("case", ["U1 partial raise", "U1 full raises", "U2"])
+def test_oracles_run_no_library_pricing_code(case, monkeypatch):
+    # the oracles check the library's evaluator, sorts and checks, so they must not call them:
+    # with each of those refusing, every oracle returns the value it returned before
+    inst = {
+        "U1 partial raise": make_instance([(2, 0, 4), (3, 1, 6), (1, 2, 2), (2, 0, 5)],
+                                          kind="U1", gamma=6),
+        "U1 full raises": make_instance([(2, 0, 3), (1, 1, 4), (3, 0, 2)], kind="U1", gamma=20),
+        "U2": make_instance([(2, 0, 4), (3, 1, 6), (1, 2, 2), (2, 0, 5), (1, 3, 9)],
+                            kind="U2", gamma=2),
+    }[case]
+    schedule = Schedule(tuple(range(inst.n, 0, -1)))
+    scenario = Scenario(inst.columns[2])
+
+    def values():
+        return (brute_min_makespan(scenario, inst), enumerate_feasible_scenarios(inst),
+                brute_max_regret(schedule, inst), brute_min_worst_cost(inst),
+                brute_min_max_regret(inst))
+
+    want = values()
+    if case == "U1 partial raise":  # the budget leaves a raise short of an upper bound
+        assert (4, 1, 2, 2) in {s.releases for s in want[1]}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called the library's pricing code")
+
+    for name in ("evaluate", "_profile_from_sorted", "_sorted_order", "_releases"):
+        monkeypatch.setattr(core, name, refuse)
+        if hasattr(oracle, name):
+            monkeypatch.setattr(oracle, name, refuse)
+    brute_min_makespan.cache_clear()
+    assert values() == want

@@ -27,8 +27,8 @@ from robust_makespan import (
     regret_of,
     solve_robust_regret,
 )
-from robust_makespan import regret
-from robust_makespan.core import _CARRY_MIN
+from robust_makespan import core, regret
+from robust_makespan.core import _CARRY_MIN, _PACKED_MIN
 from robust_makespan.oracle import brute_max_regret, brute_min_max_regret
 from robust_makespan.rmq import IntervalMinTable
 
@@ -287,6 +287,25 @@ def test_naive_parallel_merge_is_deterministic(cpus, monkeypatch):
     cpus(2)
     assert np.array_equal(serial, all_optimal_makespans_naive(inst))
     assert np.array_equal(serial, all_optimal_makespans_fast(inst))
+
+
+@pytest.mark.parametrize("n", [7, _PACKED_MIN + 1])
+def test_naive_reference_sorts_on_its_own(n, monkeypatch):
+    # the reference must not share the fast path's sort: with both entry points refusing,
+    # it returns the optima it returned before, on heavy release ties
+    rng = np.random.default_rng(n)
+    r_lo = rng.integers(0, max(2, n // 8), n)
+    inst = Instance.from_arrays(rng.integers(1, 10, n), r_lo, r_lo + rng.integers(0, 13, n),
+                                UncertaintyModel("U1", 9))
+    want = all_optimal_makespans_naive(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive reference called the fast path's sort")
+
+    monkeypatch.setattr(regret, "_release_order", refuse)
+    monkeypatch.setattr(regret, "_sorted_order", refuse)
+    monkeypatch.setattr(core, "_sorted_order", refuse)
+    assert np.array_equal(all_optimal_makespans_naive(inst), want)
 
 
 def test_package_import_leaves_multiprocessing_out():
