@@ -21,12 +21,13 @@ so `_profile_from_sorted`, which prices every makespan as one max-reduction
 over its terms, can never wrap. `_erd`, the earliest-release-date pass, is
 one sort with p carried and that reduction; `optimal_makespan` and the
 absolute solve (on the trimmed upper bounds) both price through it. From
-`_SPLIT_MIN` elements on, when two CPUs are allowed (`_cpus`, the one CPU
-query of the package), the profile pass and the packed sorts' extrema,
-packing, sort (after a median partition) and unpacking run in two halves on
-two threads (`_split`, the package's one parallel runtime; the naive regret
-reference's candidates and the CLI reader's `:` search and conversion split
-through it at their own sizes), as one pass would; no setting.
+`_SPLIT_MIN` elements on, the packed sorts carry their columns and, when two
+CPUs are allowed (`_cpus`, the one CPU query of the package), the profile
+pass and the packed sorts' packing, sort (after a median partition) and
+unpacking run in two halves on two threads (`_split`, the package's one
+parallel runtime; the naive regret reference's candidates and the CLI
+reader's `:` search and conversion split through it at their own sizes), as
+one pass would; no setting.
 """
 from __future__ import annotations
 
@@ -391,12 +392,11 @@ class ScheduleEvaluation:
 # from this many keys on, one packed ndarray.sort() beats the timsort behind
 # np.argsort(kind="stable") on int64 keys; below it the packed path's fixed
 # cost of about 10 us loses; with a tie column it races np.lexsort, which
-# loses from fewer keys on; a carried column beats its random gather by the
-# order from _CARRY_MIN keys on; a pass in halves on two threads beats one pass
-# from _SPLIT_MIN elements on (crossover tables in CHANGES.md)
+# loses from fewer keys on; from _SPLIT_MIN elements on, a pass in halves on
+# two threads beats one pass, and a carried column beats its random gather by
+# the order on one CPU or two (crossover tables in CHANGES.md)
 _PACKED_MIN = 1024
 _PACKED_TIE_MIN = 448
-_CARRY_MIN = 2**15
 _SPLIT_MIN = 2**18
 
 
@@ -445,26 +445,23 @@ def _sorted_order(values: np.ndarray, tie: np.ndarray | None = None, carry: tupl
     From `_PACKED_MIN` keys on (`_PACKED_TIE_MIN` with a tie) this is one ndarray.sort() of
     values - min with low fields packed under it, one loop over (column, bits) fields: the
     tie (if any) and the index k, of bits = (n - 1).bit_length() each, then, from
-    `_CARRY_MIN` keys on, each carried column in its max's bit length. Fields are packed in
+    `_SPLIT_MIN` keys on, each carried column in its max's bit length. Fields are packed in
     that order while the total, with the key range's bit length, stays within 62 bits: so k
     alone; tie and k; or tie alone, mapped back through tie's inverse; and the carried columns
     that fit. Every key is distinct, so the unstable sort gives the order; masks and shifts
-    give back the carried columns and the sorted values, and the rest are gathered; extrema,
-    packing, sorting and unpacking run in halves (`_split`), the sort once an in-place
-    partition around the median has put the n // 2 least keys first. Otherwise it is
-    np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
+    give back the carried columns and the sorted values, and the rest are gathered. The
+    extrema are one serial pass; packing, sorting and unpacking run in halves (`_split`),
+    the sort once an in-place partition around the median has put the n // 2 least keys
+    first. Otherwise it is np.argsort(kind="stable"), a timsort, or np.lexsort((tie, values)).
     """
     n = values.size
     if n >= (_PACKED_MIN if tie is None else _PACKED_TIE_MIN):
         bits = (n - 1).bit_length()
-        carry_top = carry if n >= _CARRY_MIN else ()
-        lows, highs, *tops = zip(*_split(lambda a, b: (
-            np.minimum.reduce(values[a:b]), np.maximum.reduce(values[a:b]),
-            *[np.maximum.reduce(c[a:b]) for c in carry_top]), n))
-        low = int(min(lows))
-        room = 62 - (int(max(highs)) - low).bit_length()
+        low = int(values.min())
+        room = 62 - (int(values.max()) - low).bit_length()
         fields = [(None, bits)] if tie is None else [(tie, bits), (None, bits)]
-        fields += [(column, int(max(peak)).bit_length()) for column, peak in zip(carry_top, tops)]
+        if n >= _SPLIT_MIN:
+            fields += [(column, int(column.max()).bit_length()) for column in carry]
         while fields and sum(width for _, width in fields) > room:
             fields.pop()
         if fields:

@@ -33,7 +33,6 @@ from robust_makespan import (
 )
 from robust_makespan import absolute, cli
 from robust_makespan.core import (
-    _CARRY_MIN,
     _PACKED_MIN,
     _PACKED_TIE_MIN,
     MAX_TIME,
@@ -292,13 +291,15 @@ def test_sorted_order_with_a_tie_column_is_the_lexsort(n, monkeypatch):
         assert np.array_equal(ordered, keys[want]), name
 
 
-@pytest.mark.parametrize("n", [_CARRY_MIN - 1, _CARRY_MIN])
-def test_sorted_order_carries_columns_exactly_when_the_fields_fit(n, monkeypatch):
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15])
+def test_sorted_order_carries_columns_exactly_when_the_fields_fit(n, monkeypatch, split_at):
     # carried columns of 7, 5 and 0 bits under a key range of key_bits and the index: at 62
     # bits in all every column is packed; at 63 the 5-bit one and the 0-bit one after it are
     # gathered; at 63 with the first column all three are; a range of 62 bits leaves no room
-    # for the index, so np.argsort sorts and every column is gathered. Below _CARRY_MIN every
-    # column is gathered, and the index is still packed. The keys sit near 2**62 and tie.
+    # for the index, so np.argsort sorts and every column is gathered. Below the split size,
+    # patched to 2**15, every column is gathered, and the index is still packed. The keys sit
+    # near 2**62 and tie.
+    split_at(2**15)
     bits = (n - 1).bit_length()
     rng = np.random.default_rng(n)
     columns = [rng.integers(0, 2**7, n), rng.integers(0, 2**5, n), np.zeros(n, np.int64)]
@@ -316,7 +317,7 @@ def test_sorted_order_carries_columns_exactly_when_the_fields_fit(n, monkeypatch
         assert len(calls) == (key_bits == 62), key_bits
         want = np.argsort(keys, kind="stable")
         assert [spy.gathers for spy in spies] == (
-            [0] * packed + [1] * (3 - packed) if n >= _CARRY_MIN else [1, 1, 1]), key_bits
+            [0] * packed + [1] * (3 - packed) if n >= 2**15 else [1, 1, 1]), key_bits
         assert np.array_equal(order, want), key_bits
         assert np.array_equal(ordered, keys[want]), key_bits
         for column, got in zip(columns, carried):

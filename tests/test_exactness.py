@@ -45,7 +45,7 @@ from robust_makespan import (
 )
 from robust_makespan.cli import CliError, load_instance
 from robust_makespan import absolute, cli, core, regret
-from robust_makespan.core import _CARRY_MIN, _PACKED_MIN, MAX_TIME, _sorted_order
+from robust_makespan.core import _PACKED_MIN, MAX_TIME, _sorted_order
 from robust_makespan.oracle import (
     brute_max_regret,
     brute_min_max_regret,
@@ -479,11 +479,12 @@ def test_each_tie_pack_is_the_lexsort(monkeypatch):
         assert np.array_equal(ordered, keys[want]), span
 
 
-def test_each_carry_pack_is_the_gather(monkeypatch):
+def test_each_carry_pack_is_the_gather(monkeypatch, split_at):
     # a 6-bit column carried beside a tie, one set of keys stretched to each bit edge:
     # tie, index and column fill 62 bits exactly; one more bit leaves the column to a gather;
     # then the tie alone packs (one inverse), and past that np.lexsort sorts
-    n = _CARRY_MIN
+    n = 2**15
+    split_at(n)  # from the split size on, carried columns ride the packed sort
     bits = (n - 1).bit_length()
     rng = np.random.default_rng(n)
     base = rng.integers(0, 50, n)
@@ -511,10 +512,12 @@ def test_each_carry_pack_is_the_gather(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["U1", "U2"])
-@pytest.mark.parametrize("n", [2, _CARRY_MIN + 1])
-def test_absolute_entry_points_exact_at_the_int64_edge(n, kind):
+@pytest.mark.parametrize("n", [2, 2**15 + 1])
+def test_absolute_entry_points_exact_at_the_int64_edge(n, kind, split_at):
     # max(trimmed r_hi) + sum(p) == MAX_TIME: each makespan, sum(p) + max(d), reaches
-    # MAX_TIME itself without wrapping, and from _CARRY_MIN jobs on p rides the packed sort
+    # MAX_TIME itself without wrapping, and from the split size, patched to 2**15, on p rides
+    # the packed sort
+    split_at(2**15)
     rng = random.Random(n)
     p = [rng.randint(1, 9) for _ in range(n)]
     top = MAX_TIME - sum(p)
@@ -625,7 +628,7 @@ def test_lone_numbers_and_strings_raise_value_error():
 # passes in halves (`core._split`): each answer equals the whole pass's, at the split edge
 
 # the patched _SPLIT_MIN: from it on, carried columns also ride the packed sorts
-_SPLIT_EDGE = _CARRY_MIN
+_SPLIT_EDGE = 2**15
 _SPLIT_SIZES = [_SPLIT_EDGE - 1, _SPLIT_EDGE, _SPLIT_EDGE + 1]
 
 
@@ -680,6 +683,34 @@ def test_split_runs_the_whole_pass_when_no_thread_starts(split_at, monkeypatch):
     refused = refuse_threads(monkeypatch)
     assert core._split(lambda a, b: (a, b), 9) == [(0, 9)]
     assert len(refused) == 1 and threading.active_count() == threads
+
+
+def test_packed_sort_makes_one_size_decision_for_its_carry_and_halves(split_at, cpus,
+                                                                      monkeypatch):
+    # from the split size on, a packed sort carries its columns and, with two CPUs, starts
+    # one thread to pack and one to sort and unpack (its extrema are one serial pass); with
+    # one CPU it still carries; below that size it starts no thread and gathers
+    split_at(2**16)
+    starts, start = [], threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for n, allowed, want_starts, want_gathers in ((2**16, 2, 2, 0), (2**16, 1, 0, 0),
+                                                  (2**15 + 1, 2, 0, 1)):
+        cpus(allowed)
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, 4 * n, n)
+        column = rng.integers(0, 101, n)
+        spy = gather_spy(column)
+        starts.clear()
+        order, ordered, carried = _sorted_order(keys, carry=(spy,))
+        assert (len(starts), spy.gathers) == (want_starts, want_gathers), (n, allowed)
+        want = np.argsort(keys, kind="stable")
+        for got, expected in ((order, want), (ordered, keys[want]), (carried, column[want])):
+            assert np.array_equal(got, expected), (n, allowed)
 
 
 def test_entry_points_answer_alike_without_an_affinity_call_or_a_thread(split_at, cpus,
@@ -873,8 +904,8 @@ def test_split_halves_call_no_traced_function(split_at, monkeypatch, tmp_path):
             if key.startswith("robust_makespan.") and vars(alias).get(attr) is original]
         for alias in owners:
             monkeypatch.setattr(alias, attr, on_caller(original, name))
-    split_at(_CARRY_MIN)
-    n = 2 * _CARRY_MIN
+    split_at(_SPLIT_EDGE)
+    n = 2 * _SPLIT_EDGE
     rng = np.random.default_rng(n)
     r_lo = rng.integers(0, 2 * n, n)
     inst = Instance.from_arrays(rng.integers(1, 101, n), r_lo, r_lo + rng.integers(0, n, n),

@@ -28,7 +28,7 @@ from robust_makespan import (
     solve_robust_regret,
 )
 from robust_makespan import core, regret
-from robust_makespan.core import _CARRY_MIN, _PACKED_MIN
+from robust_makespan.core import _PACKED_MIN
 from robust_makespan.oracle import brute_max_regret, brute_min_max_regret
 from robust_makespan.rmq import IntervalMinTable
 
@@ -417,12 +417,14 @@ def test_lib_narrow_shaped_solve_builds_no_levels(rmq_split):
 
 
 @pytest.mark.parametrize("wide", [False, True])
-def test_release_sort_carries_p_and_the_width(wide, monkeypatch):
+def test_release_sort_carries_p_and_the_width(wide, monkeypatch, split_at):
     # lib-narrow shape: the release range (2n), the index, p (7 bits) and the width
     # r_hi - r_lo (7 bits) fit in 62 bits, so both columns come out of the packed sort;
     # lib-wide shape (U1, widths to 2**30 trimmed to gamma = 2**26): the width needs 27 bits
-    # and is gathered, while p is still carried
-    n = _CARRY_MIN + 1
+    # and is gathered, while p is still carried; columns ride the packed sort from the split
+    # size, patched to 2**15, on
+    n = 2**15 + 1
+    split_at(2**15)
     rng = np.random.default_rng(n + wide)
     p = rng.integers(1, 101, n)
     r_lo = rng.integers(0, 2 * n, n)
