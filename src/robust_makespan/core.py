@@ -168,17 +168,15 @@ class Instance:
             raise ValueError(f"jobs must be a sequence of Job records, got {jobs!r}") from None
         if not jobs:
             raise ValueError("instance needs at least one job")
-        try:
-            ids = [job.id for job in jobs]
-            fields = {
-                "p": [job.p for job in jobs],
-                "r_lo": [job.r_lo for job in jobs],
-                "r_hi": [job.r_hi for job in jobs],
-            }
-        except AttributeError:
-            k = next(k for k, job in enumerate(jobs)
-                     if not all(hasattr(job, name) for name in ("id", "p", "r_lo", "r_hi")))
-            raise ValueError(f"jobs[{k}] must be a Job record, got {jobs[k]!r}") from None
+        ids = [job.id for job in jobs if type(job) is Job]  # Job itself: a subclass never equals it
+        if len(ids) < len(jobs):
+            k = next(k for k, job in enumerate(jobs) if type(job) is not Job)
+            raise ValueError(f"jobs[{k}] must be a Job record, got {jobs[k]!r}")
+        fields = {
+            "p": [job.p for job in jobs],
+            "r_lo": [job.r_lo for job in jobs],
+            "r_hi": [job.r_hi for job in jobs],
+        }
         columns = [
             _int64_column(values, lambda k, name=name: f"job {jobs[k].id}: field {name!r}")
             for name, values in fields.items()
@@ -409,9 +407,10 @@ def _cpus() -> int:
 def _split(fn, n: int, at: int | None = None) -> list:
     """[fn(0, n)], or [fn(0, n // 2), fn(n // 2, n)] from `at` (default `_SPLIT_MIN`) on
     when two CPUs are allowed and a thread starts, the first on it, joined before this returns
-    (its exception is raised here). fn writes disjoint slices; it may hold the GIL between
-    numpy calls, but must not call a package function that perfbench/tracer.py wraps, since
-    the tracer keeps one span stack."""
+    (its exception is raised here). fn reads shared inputs, writes only its own slices of the
+    output and shares no other state; it may hold the GIL between numpy calls, but must not
+    call a package function that perfbench/tracer.py wraps, since the tracer keeps one span
+    stack."""
     if n < (_SPLIT_MIN if at is None else at) or _cpus() < 2:
         return [fn(0, n)]
     out, errors = [None, None], []

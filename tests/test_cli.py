@@ -130,6 +130,19 @@ def test_parse_error_reports_json_position(tmp_path):
         load_instance(write(tmp_path, '{"version": 1,,}'))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "top level must be an object"),
+    (json.dumps(TWO_JOB | {"version": 2}), "unsupported version 2"),
+    (json.dumps(TWO_JOB | {"version": "1"}), "field 'version' must be an integer, got '1'"),
+    (json.dumps(TWO_JOB | {"uncertainty": 5}), "'uncertainty' must be an object"),
+], ids=["array", "version 2", "version string", "uncertainty number"])
+def test_parse_rejects_a_bad_top_level(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(cli.CliError) as info:
+        load_instance(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_parse_rejects_empty_jobs(tmp_path):
     doc = dict(TWO_JOB)
     doc["jobs"] = []
@@ -492,40 +505,6 @@ def test_split_reader_halves_read_as_one_pass(tmp_path, monkeypatch, cpus, row, 
     assert threading.active_count() == threads
 
 
-def test_split_reader_stops_the_other_half_after_a_refusal(tmp_path, monkeypatch, cpus):
-    # a leading zero in row 1 refuses the worker's first chunk; the caller's first conversion
-    # waits until the worker has refused, so without the shared flag it would go on to convert
-    # all five of its chunks
-    monkeypatch.setattr(cli, "_ROWS", 8)  # chunks of 4 rows: halves of 5 chunks each
-    path = tmp_path / "gen.json"
-    assert main(["generate", "--n", "40", "--seed", "3", "--model", "U1", "--gamma", "30",
-                 "--r-range", "0", "80", "--output", str(path)]) == EXIT_OK
-    text = path.read_text()
-    path.write_text(text.replace('"r_lo": ', '"r_lo": 0', 1))
-    cpus(2)
-    caller, real = threading.get_ident(), cli._read_digits
-    calls, workers, worker_called = [], [], threading.Event()
-
-    def spy(words, end, width):  # every number here has at most 8 digits: one call a chunk
-        calls.append(threading.get_ident())
-        if calls[-1] != caller:
-            workers.append(threading.current_thread())
-            worker_called.set()
-        elif calls.count(caller) == 1:
-            assert worker_called.wait(10)
-            workers[0].join(10)
-            assert not workers[0].is_alive()
-        return real(words, end, width)
-
-    monkeypatch.setattr(cli, "_read_digits", spy)
-    threads = threading.active_count()
-    assert cli._generated_columns(path.read_bytes()) is None
-    assert len(workers) == 1 and calls.count(caller) <= 1
-    assert threading.active_count() == threads
-    message = load_outcome(path)
-    assert "invalid JSON" in message and message == json_reader_outcome(monkeypatch, path)
-
-
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # cpus(2) in each
 @given(edited_dumps(), st.sampled_from([4, 8]))
@@ -611,6 +590,16 @@ def test_solve_absolute_two_job(tmp_path):
     sol = json.loads(open(out).read())
     assert sol["permutation"] == [2, 1]
     assert sol["objective"] == 6
+
+
+def test_solve_without_output_writes_the_solution_to_stdout(tmp_path, capsys):
+    path, out = write(tmp_path, TWO_JOB), tmp_path / "sol.json"
+    for criterion in ("absolute", "regret"):
+        argv = ["solve", "--criterion", criterion, "--input", path]
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == out.read_text()
 
 
 def test_solution_reevaluates_to_objective(tmp_path):
@@ -806,6 +795,18 @@ def test_generate_rejects_bad_ranges(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--r-range", "5", "1", "--gamma", "1"], "invalid --r-range 5 1"),
+    (["--model", "U2", "--gamma", "0"], "--gamma must be at least 1 for U2"),
+    (["--model", "U1", "--gamma", "-1"], "--gamma must be non-negative"),
+], ids=["r-range", "U2 gamma", "U1 gamma"])
+def test_generate_names_a_bad_range_or_budget(tmp_path, capsys, extra, message):
+    path = tmp_path / "x.json"
+    assert main(["generate", "--n", "5", "--output", str(path)] + extra) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path.exists()
+
+
 def test_generate_output_to_missing_directory_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "inst.json"
     assert main(["generate", "--n", "5", "--gamma", "1", "--output", str(out)]) == EXIT_USAGE
@@ -951,6 +952,37 @@ def test_verify_catches_solver_inexact_at_the_64_bit_edge(monkeypatch, capsys):
     assert "FAIL shifted-magnitude: releases + " in err
     assert "(the 64-bit edge): absolute cost" in err
     assert "2**62" not in err
+
+
+def test_verify_catches_a_regret_solve_inexact_at_large_magnitude(monkeypatch, capsys):
+    # negative control: a solve on releases rounded through float64 is exact on the small
+    # draws, but at 2**62 the rounding merges releases and moves the report
+    exact = cli.solve_robust_regret
+
+    def rounding_solver(instance):
+        p, r_lo, r_hi = instance.columns
+        rounded = (column.astype(float).astype(np.int64) for column in (r_lo, r_hi))
+        return exact(Instance.from_arrays(p, *rounded, instance.uncertainty))
+
+    monkeypatch.setattr(cli, "solve_robust_regret", rounding_solver)
+    assert main(["verify", "--trials", "20", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "FAIL shifted-magnitude: releases + 2**62: regret 4 -> 0")
+
+
+def test_verify_catches_fast_optima_inexact_at_large_magnitude(monkeypatch, capsys):
+    # negative control: optima rounded through float64 are exact on the small draws and
+    # off once every release is shifted by 2**62
+    exact = cli.all_optimal_makespans_fast
+
+    def rounding_optima(instance):
+        return np.asarray(exact(instance)).astype(float).astype(np.int64)
+
+    monkeypatch.setattr(cli, "all_optimal_makespans_fast", rounding_optima)
+    assert main(["verify", "--trials", "20", "--seed", "5"]) == EXIT_COUNTEREXAMPLE
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "FAIL shifted-magnitude: releases + 2**62: optima [22, 16, 15, 15, 18] -> "
+        f"{[2**62] * 5}")
 
 
 def test_verify_catches_a_report_that_reads_untrimmed_bounds(monkeypatch, capsys):

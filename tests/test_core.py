@@ -3,8 +3,10 @@ import json
 import pickle
 import random
 import re
+from collections import namedtuple
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -699,6 +701,39 @@ def test_entry_errors_name_the_position():
         Instance(None, model)
     with pytest.raises(ValueError, match="uncertainty must be an UncertaintyModel, got 'U2'"):
         Instance.from_arrays([1], [0], [0], "U2")
+
+
+def test_instance_takes_job_records_only():
+    # a record with a Job's fields is not a Job: inst.jobs would hand it back, and differ
+    # from the Job records of the equal instance built from the columns
+    Row = namedtuple("Row", "id p r_lo r_hi")
+
+    class SubJob(Job):
+        pass
+
+    model = UncertaintyModel("U2", 1)
+    records = (Row(2, 2, 0, 4), SubJob(2, 2, 0, 4), SimpleNamespace(id=2, p=2, r_lo=0, r_hi=4))
+    for record in records:
+        message = f"jobs[1] must be a Job record, got {record!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Instance((Job(1, 3, 0, 0), record), model)
+    columns = Instance.from_arrays([3, 2], [0, 0], [0, 4], model)
+    for jobs in ((Job(1, 3, 0, 0), Job(2, 2, 0, 4)), [Job(1, np.int64(3), 0, 0), Job(2, 2, 0, 4)]):
+        inst = Instance(jobs, model)
+        assert inst == columns and inst.jobs == columns.jobs
+        assert [type(job) for job in inst.jobs] == [Job, Job]
+        assert pickle.loads(pickle.dumps(inst)).jobs == inst.jobs
+
+
+def test_instance_repr_lists_columns_up_to_16_jobs():
+    model = UncertaintyModel("U1", 3)
+    small = Instance.from_arrays(range(1, 17), range(16), range(2, 18), model)
+    assert repr(small) == (f"Instance.from_arrays({list(range(1, 17))}, {list(range(16))}, "
+                           f"{list(range(2, 18))}, UncertaintyModel(kind='U1', gamma=3))")
+    assert eval(repr(small)) == small
+    big = Instance.from_arrays([1] * 17, [0] * 17, [0] * 17, model)
+    assert repr(big) == "<Instance n=17 uncertainty=UncertaintyModel(kind='U1', gamma=3)>"
+    assert small.__eq__(5) is NotImplemented and (small == 5) is False
 
 
 def test_uncertainty_scenarios_from_arrays_match_tuple_built_ones():

@@ -36,6 +36,12 @@ def test_brute_min_makespan_is_true_minimum():
         assert brute_min_makespan(sc, inst) == want
 
 
+def test_brute_min_makespan_refuses_a_scenario_of_the_wrong_length():
+    inst = make_instance([(1, 0, 0), (2, 0, 0)])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 jobs but 3 releases$"):
+        brute_min_makespan(Scenario((0, 0, 0)), inst)
+
+
 def test_brute_min_makespan_refuses_large():
     inst = make_instance([(1, 0, 0)] * 11)
     with pytest.raises(ValueError, match="refusing"):

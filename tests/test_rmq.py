@@ -125,6 +125,11 @@ def test_bulk_rejects_out_of_bounds():
     assert t.range_min_many(np.array([3]), np.array([1]))[0] == np.iinfo(np.int64).max
 
 
+def test_bulk_rejects_lo_and_hi_of_different_shapes():
+    with pytest.raises(ValueError, match=r"^lo and hi must have the same shape$"):
+        IntervalMinTable([4, 2]).range_min_many([1, 1], [2])
+
+
 def test_empty_table_answers_only_empty_ranges():
     t = IntervalMinTable([])
     assert t.n == 0
